@@ -15,18 +15,19 @@ from lctkit import (
 # at 200k samples; the full-depth default window wants ~10^6 samples
 WINDOW = dict(samples=200_000, r_min=0.02, r_max=0.3, grid_size=10)
 
-for text in ("mono:1", "diag:2,3"):
+# z1^2 z2 has the exact volume pi^2 (2r - r^2) ~ 2 pi^2 r: c = 1/2, no log factor
+for text in ("mono:1", "diag:2,3", "mono:2,1"):
     spec = parse_spec(text)
     fit = fit_exponent(potential_from_spec(spec), **WINDOW)
     print(f"{text:10s} exact c = {str(lct_monomial(spec)):5s} "
           f"fitted c = {fit.fitted_c:.4f} (r^2 = {fit.r_squared:.5f})")
 
-# z1^2 z2 has volume ~ r * log(1/r): the plain fit absorbs the log factor
-# into a low exponent, the corrected fit pulls it back out
-spec = parse_spec("mono:2,1")
+# z1 z2 has volume pi^2 r^2 (1 + 2 log(1/r)): the plain fit absorbs the
+# log factor into a low exponent, the corrected fit pulls it back out
+spec = parse_spec("mono:1,1")
 plain = fit_exponent(potential_from_spec(spec), **WINDOW)
 corrected = fit_exponent(potential_from_spec(spec), with_log_correction=True, **WINDOW)
-print(f"mono:2,1   exact c = 1/2   plain fit {plain.fitted_c:.4f}, "
+print(f"mono:1,1   exact c = 1     plain fit {plain.fitted_c:.4f}, "
       f"with log regressor {corrected.fitted_c:.4f}")
 
 # the bidisk potential log|z1 z2| has a closed-form sublevel volume,

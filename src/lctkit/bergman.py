@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InvalidInputError
+from .errors import InternalError, InvalidInputError, require_int
 from .extrational import ExtRational
 
 DEFAULT_TABLE_MARGIN = 64  # default K_max = k_min + this
@@ -81,13 +81,11 @@ def build_approx(w: RadialWeight, m: int, k_max: Union[int, None] = None) -> Ber
     """Coefficient table of the m-th approximant, up to degree k_max."""
     if not isinstance(w, RadialWeight):
         w = RadialWeight(w)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InvalidInputError("m must be a positive integer")
+    require_int(m, 1, "m must be a positive integer")
     k_min = minimal_degree(w, m)
     if k_max is None:
         k_max = k_min + DEFAULT_TABLE_MARGIN
-    if not isinstance(k_max, int) or isinstance(k_max, bool):
-        raise InvalidInputError("k_max must be an integer")
+    require_int(k_max, None, "k_max must be an integer")
     if k_max < k_min + MIN_TABLE_MARGIN:
         raise InvalidInputError(
             f"k_max={k_max} too small: need at least k_min + {MIN_TABLE_MARGIN} = "
@@ -95,7 +93,8 @@ def build_approx(w: RadialWeight, m: int, k_max: Union[int, None] = None) -> Ber
         )
     mc = w.c * m
     table = tuple(Fraction(k + 1) - mc for k in range(k_min, k_max + 1))
-    assert all(v > 0 for v in table)
+    if not all(v > 0 for v in table):
+        raise InternalError(f"nonpositive basis norm in the table for c={w.c}, m={m}")
     return BergmanApprox(weight=w, m=m, k_min=k_min, k_max=k_max, pi_sigma=table)
 
 

@@ -12,7 +12,7 @@ One entry point, one subcommand per capability:
     fano            nested alias: fano certify | monomials | scan
 
 Exit codes: 0 success, 1 invalid input (including flag errors), 2
-insufficient data, 3 internal assertion failure.  All randomness flows
+insufficient data, 3 internal consistency failure.  All randomness flows
 from --seed, which defaults to a fixed constant so outputs are stable;
 JSON output uses compact separators and a fixed field order so byte
 identity across runs is meaningful.  A --config file of key=value lines
@@ -33,7 +33,7 @@ from . import bergman as bg
 from . import fano
 from . import lct
 from . import volume as vol
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import InsufficientDataError, InternalError, InvalidInputError
 from .extrational import ExtRational
 
 DEFAULT_SEED = vol.DEFAULT_SEED
@@ -339,7 +339,6 @@ def _cmd_fano_scan(args: argparse.Namespace) -> str:
         fano_index=args.index,
         min_a0=args.min_a0,
         require_refined=args.refined,
-        workers=args.workers,
     )
     report = fano.scan(config)
     if args.format == "json":
@@ -374,6 +373,30 @@ def _cmd_fano_scan(args: argparse.Namespace) -> str:
 
 # ---------------------------------------------------------------------------
 # parser wiring
+
+
+def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--weights", required=True, help="a0,a1,a2,a3 (nondecreasing)")
+    parser.add_argument("--degree", type=int, required=True, help="hypersurface degree d")
+
+
+def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-weight", type=int, required=True, help="largest allowed weight a3")
+    parser.add_argument("--index", type=int, default=1, help="Fano index k-d")
+    parser.add_argument("--min-a0", type=int, default=1, help="smallest allowed weight a0")
+    parser.add_argument(
+        "--refined",
+        action="store_true",
+        help="grant refined verdicts to systems with a recorded curve check",
+    )
+
+
+# (name, help, flag adder, handler, default format) per fano command
+_FANO_COMMANDS = (
+    ("certify", "certificate for one weight system", _add_weight_flags, _cmd_fano_certify, "json"),
+    ("monomials", "degree-d monomials", _add_weight_flags, _cmd_fano_monomials, "json"),
+    ("scan", "certify a whole weight box", _add_scan_flags, _cmd_fano_scan, "csv"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -416,50 +439,22 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=_cmd_bergman)
 
-    def add_certify_flags(q):
-        q.add_argument("--weights", required=True, help="a0,a1,a2,a3 (nondecreasing)")
-        q.add_argument("--degree", type=int, required=True, help="hypersurface degree d")
-
-    p = sub.add_parser("fano-certify", help="certificate for one weight system", allow_abbrev=False)
-    add_certify_flags(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_fano_certify)
-
-    p = sub.add_parser("fano-monomials", help="degree-d monomials", allow_abbrev=False)
-    add_certify_flags(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_fano_monomials)
-
-    def add_scan_flags(q):
-        q.add_argument("--max-weight", type=int, required=True, help="largest allowed weight a3")
-        q.add_argument("--index", type=int, default=1, help="Fano index k-d")
-        q.add_argument("--min-a0", type=int, default=1, help="smallest allowed weight a0")
-        q.add_argument(
-            "--refined",
-            action="store_true",
-            help="grant refined verdicts to systems with a recorded curve check",
-        )
-        q.add_argument("--workers", type=int, default=None, help="parallel certify workers")
-
-    p = sub.add_parser("fano-scan", help="certify a whole weight box", allow_abbrev=False)
-    add_scan_flags(p)
-    _add_format(p, default="csv")
-    p.set_defaults(handler=_cmd_fano_scan)
+    # each fano command is registered flat (fano-certify, with its help
+    # line) and nested under the alias (fano certify) from the same row,
+    # so the two cannot drift apart
+    for name, help_text, add_flags, handler, fmt in _FANO_COMMANDS:
+        p = sub.add_parser(f"fano-{name}", help=help_text, allow_abbrev=False)
+        add_flags(p)
+        _add_format(p, default=fmt)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("fano", help="nested alias: fano certify|monomials|scan", allow_abbrev=False)
     fano_sub = p.add_subparsers(dest="fano_command", required=True)
-    q = fano_sub.add_parser("certify", allow_abbrev=False)
-    add_certify_flags(q)
-    _add_format(q)
-    q.set_defaults(handler=_cmd_fano_certify)
-    q = fano_sub.add_parser("monomials", allow_abbrev=False)
-    add_certify_flags(q)
-    _add_format(q)
-    q.set_defaults(handler=_cmd_fano_monomials)
-    q = fano_sub.add_parser("scan", allow_abbrev=False)
-    add_scan_flags(q)
-    _add_format(q, default="csv")
-    q.set_defaults(handler=_cmd_fano_scan)
+    for name, _, add_flags, handler, fmt in _FANO_COMMANDS:
+        q = fano_sub.add_parser(name, allow_abbrev=False)
+        add_flags(q)
+        _add_format(q, default=fmt)
+        q.set_defaults(handler=handler)
 
     return parser
 
@@ -480,7 +475,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except InternalError as exc:
         print(f"internal error: assertion failed: {exc}", file=sys.stderr)
         return 3
     print(payload)

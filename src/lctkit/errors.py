@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 The command line layer maps these onto exit codes: invalid input exits
-with 1, insufficient data with 2, and internal assertion failures with 3.
+with 1, insufficient data with 2, and internal consistency failures with 3.
 """
+
+from typing import Optional
 
 
 class LctError(Exception):
@@ -19,3 +21,25 @@ class NotFanoError(InvalidInputError):
 
 class InsufficientDataError(LctError):
     """Raised when an estimate cannot be formed from the data that survived."""
+
+
+class InternalError(LctError):
+    """Raised when a result breaks an invariant the package guarantees.
+
+    An explicit raise rather than ``assert``, so the check survives
+    ``python -O``.
+    """
+
+
+def require_int(value, minimum: Optional[int], message: str) -> int:
+    """Return ``value`` if it is an int (not a bool) and at least
+    ``minimum`` (no bound when None); otherwise raise InvalidInputError
+    with ``message.format(value=value)``.  Formatting only on failure
+    keeps the check cheap on hot constructors."""
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        raise InvalidInputError(message.format(value=value))
+    return value

@@ -28,21 +28,25 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, NotFanoError
+from .errors import InvalidInputError, NotFanoError, require_int
 
 KE_CERTIFIED = "KE_CERTIFIED"
 KE_CERTIFIED_REFINED = "KE_CERTIFIED_REFINED"
 INCONCLUSIVE = "INCONCLUSIVE"
 NOT_ORBIFOLD = "NOT_ORBIFOLD"
 NOT_FANO = "NOT_FANO"
+
+# Largest box a scan accepts, counted as C(max_a3 - min_a0 + 4, 4): just
+# above the a3 <= 256 box.  The scan holds the whole box in memory before
+# filtering (368 MiB peak at a3 <= 128, a0 >= 3, growing like the box),
+# so larger boxes are refused up front instead of allocated.
+MAX_BOX_SYSTEMS = 2 * 10**8
 
 # Systems whose twisted tangent bundle has been verified nef along every
 # component of the curve (x0 = 0) by an explicit by-hand computation.
@@ -73,12 +77,10 @@ class WeightSystem:
         if len(a) != 4:
             raise InvalidInputError("exactly four weights required")
         for x in a:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-                raise InvalidInputError(f"weights must be positive integers, got {x!r}")
+            require_int(x, 1, "weights must be positive integers, got {value!r}")
         if list(a) != sorted(a):
             raise InvalidInputError(f"weights must be nondecreasing, got {a}")
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
-            raise InvalidInputError(f"degree must be a positive integer, got {self.d!r}")
+        require_int(self.d, 1, "degree must be a positive integer, got {value!r}")
         object.__setattr__(self, "a", a)
 
     @property
@@ -277,17 +279,8 @@ def _delta(w: WeightSystem) -> int:
 
 def _rho_with_factor(w: WeightSystem, factor: int) -> Fraction:
     a0, a1, a2, a3 = w.a
-    d = w.d
-    index = w.k - d
-    delta = _delta(w)
-    # branch form: divide by a0 a1 a2 when a3 does not divide d, else a0 a1 a3
-    if d % a3 == 0:
-        branch = Fraction(4 * d * index * factor, 3 * a0 * a1 * a3)
-    else:
-        branch = Fraction(4 * d * index * factor, 3 * a0 * a1 * a2)
-    delta_form = Fraction(4 * delta * d * index * factor, 3 * a0 * a1 * a2 * a3)
-    assert branch == delta_form, "rho branch/delta forms disagree"
-    return branch
+    index = w.k - w.d
+    return Fraction(4 * _delta(w) * w.d * index * factor, 3 * a0 * a1 * a2 * a3)
 
 
 def rho(w: WeightSystem) -> Fraction:
@@ -405,18 +398,10 @@ def certify(w: WeightSystem, allow_refined: bool = True) -> Certificate:
         rho_ref = rho_refined(w)
         a3 = w.a[3]
         if w.d % a3 == 0:
-            pure_power = (0, 0, 0, w.d // a3) in set(monos)
-            # a3 | d always puts x3^(d/a3) in the list; the downgrade
-            # branch is defensive and should be unreachable.
-            if pure_power:
-                delta_note = (
-                    f"delta=a2={w.a[2]}: a3={a3} divides d, generic member "
-                    "misses the maximal-isotropy coordinate point"
-                )
-            else:
-                delta_note = f"delta=a3={a3}: pure power x3^{w.d // a3} absent"
-                rho_val = _rho_with_factor_delta(w, w.k - w.a[0] - w.a[2], a3)
-                rho_ref = _rho_with_factor_delta(w, w.k - w.a[1] - w.a[2], a3)
+            delta_note = (
+                f"delta=a2={w.a[2]}: a3={a3} divides d, generic member "
+                "misses the maximal-isotropy coordinate point"
+            )
         else:
             delta_note = f"delta=a3={a3}: a3 does not divide d"
 
@@ -458,12 +443,6 @@ def certify(w: WeightSystem, allow_refined: bool = True) -> Certificate:
     )
 
 
-def _rho_with_factor_delta(w: WeightSystem, factor: int, delta: int) -> Fraction:
-    a0, a1, a2, a3 = w.a
-    index = w.k - w.d
-    return Fraction(4 * delta * w.d * index * factor, 3 * a0 * a1 * a2 * a3)
-
-
 # ---------------------------------------------------------------------------
 # weight-system scan
 
@@ -481,19 +460,18 @@ class ScanConfig:
     fano_index: int = 1
     min_a0: int = 1
     require_refined: bool = False
-    workers: Optional[int] = None
 
     def __post_init__(self):
         for name in ("max_a3", "min_a0", "fano_index"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InvalidInputError(f"{name} must be a positive integer")
+            require_int(getattr(self, name), 1, f"{name} must be a positive integer")
         if self.max_a3 < self.min_a0:
             raise InvalidInputError("max_a3 must be >= min_a0")
-        if self.workers is not None and (
-            not isinstance(self.workers, int) or isinstance(self.workers, bool) or self.workers < 1
-        ):
-            raise InvalidInputError("workers must be a positive integer or None")
+        size = math.comb(self.max_a3 - self.min_a0 + 4, 4)
+        if size > MAX_BOX_SYSTEMS:
+            raise InvalidInputError(
+                f"box a0>={self.min_a0}, a3<={self.max_a3} holds {size} weight systems; "
+                f"a scan takes at most {MAX_BOX_SYSTEMS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -630,14 +608,7 @@ def scan(config: ScanConfig) -> ScanReport:
         for w0, w1, w2, w3, dd in zip(a0s, a1s, a2s, a3s, ds)
     ]
 
-    judge = partial(certify, allow_refined=config.require_refined)
-    nworkers = _scan_workers(config.workers)
-    if nworkers > 1 and len(systems) > 64:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            certs = list(pool.map(judge, systems, chunksize=64))
-    else:
-        certs = [judge(w) for w in systems]
-
+    certs = [certify(w, allow_refined=config.require_refined) for w in systems]
     entries = [c for c in certs if c.fletcher.passes]
     entries.sort(key=lambda c: (c.rho is None, c.rho or Fraction(0), c.weights.a))
     return ScanReport(
@@ -646,9 +617,3 @@ def scan(config: ScanConfig) -> ScanReport:
         examined=examined,
         prefilter_survivors=len(systems),
     )
-
-
-def _scan_workers(requested: Optional[int]) -> int:
-    from .volume import _worker_count
-
-    return _worker_count(requested)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .extrational import ExtRational, INFINITY
 
 
@@ -44,10 +44,8 @@ class DivisorRecord:
     meets_k: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or isinstance(self.a, bool) or self.a < 0:
-            raise InvalidInputError(f"discrepancy must be a nonnegative integer, got {self.a!r}")
-        if not isinstance(self.b, int) or isinstance(self.b, bool) or self.b < 0:
-            raise InvalidInputError(f"multiplicity must be a nonnegative integer, got {self.b!r}")
+        require_int(self.a, 0, "discrepancy must be a nonnegative integer, got {value!r}")
+        require_int(self.b, 0, "multiplicity must be a nonnegative integer, got {value!r}")
         if self.a == 0 and self.b == 0:
             raise InvalidInputError("record with a=0 and b=0 carries no information")
         if not isinstance(self.meets_k, bool):
@@ -123,8 +121,7 @@ class PrincipalMonomial:
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(self.exponents))
         for e in self.exponents:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise InvalidInputError(f"exponents must be nonnegative integers, got {e!r}")
+            require_int(e, 0, "exponents must be nonnegative integers, got {value!r}")
         if not any(e > 0 for e in self.exponents):
             raise InvalidInputError("principal monomial needs at least one positive exponent")
 
@@ -144,8 +141,7 @@ class Diagonal:
         if not self.orders:
             raise InvalidInputError("diagonal ideal needs at least one order")
         for m in self.orders:
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise InvalidInputError(f"diagonal orders must be integers >= 1, got {m!r}")
+            require_int(m, 1, "diagonal orders must be integers >= 1, got {value!r}")
 
     @property
     def nvars(self) -> int:
@@ -240,10 +236,8 @@ def scale_arnold(
 def truncation_gap_bound(n: int, k: int) -> ExtRational:
     """Bound n/(k+1) on |c0(f) - c0(p_k)| for the degree-k Taylor
     truncation p_k of any holomorphic f in n variables."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidInputError("dimension n must be a positive integer")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidInputError("truncation degree k must be a nonnegative integer")
+    require_int(n, 1, "dimension n must be a positive integer")
+    require_int(k, 0, "truncation degree k must be a nonnegative integer")
     return ExtRational(Fraction(n, k + 1))
 
 
@@ -257,8 +251,7 @@ def lelong_sandwich(
         raise InvalidInputError("Lelong number must be finite")
     if nu.as_fraction() < 0:
         raise InvalidInputError("Lelong number must be nonnegative")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidInputError("dimension n must be a positive integer")
+    require_int(n, 1, "dimension n must be a positive integer")
     return ExtRational(nu.as_fraction() / n), nu
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import InsufficientDataError, InternalError, InvalidInputError, require_int
 from .lct import (
     Diagonal,
     DirectSum,
@@ -54,8 +54,9 @@ def _worker_count(requested: Optional[int]) -> int:
             cap_n = int(cap)
         except ValueError as exc:
             raise InvalidInputError(f"LCT_THREADS must be an integer, got {cap!r}") from exc
-        if cap_n >= 1:
-            workers = min(workers, cap_n)
+        if cap_n < 1:
+            raise InvalidInputError(f"LCT_THREADS must be a positive integer, got {cap!r}")
+        workers = min(workers, cap_n)
     return workers
 
 
@@ -78,8 +79,7 @@ class SampledPotential:
     radius: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        if not isinstance(self.dimension, int) or isinstance(self.dimension, bool) or self.dimension < 1:
-            raise InvalidInputError("dimension must be a positive integer")
+        require_int(self.dimension, 1, "dimension must be a positive integer")
         if not callable(self.evaluator):
             raise InvalidInputError("evaluator must be callable")
         r = self.radius
@@ -227,9 +227,7 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
 
 
 def _validate_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise InvalidInputError("seed must be a nonnegative integer")
-    return seed
+    return require_int(seed, 0, "seed must be a nonnegative integer")
 
 
 def _counts_below(
@@ -296,8 +294,7 @@ def estimate_sublevel_volume(
         raise InvalidInputError("expected a SampledPotential")
     if not 0.0 < r < 1.0:
         raise InvalidInputError("radius r must lie in (0, 1)")
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1000:
-        raise InvalidInputError("need at least 1000 samples")
+    require_int(samples, 1000, "need at least 1000 samples")
     _validate_seed(seed)
     counts = _counts_below(p, np.array([math.log(r)]), samples, seed, workers)
     frac = counts[0] / samples
@@ -331,13 +328,16 @@ class ExponentFit:
 
     def __post_init__(self):
         rs = self.radii
-        assert all(0.0 < r < 1.0 for r in rs), "radii must lie in (0,1)"
-        assert all(rs[i] > rs[i + 1] for i in range(len(rs) - 1)), "radii must decrease"
+        if not all(0.0 < r < 1.0 for r in rs):
+            raise InternalError("radii must lie in (0,1)")
+        if not all(rs[i] > rs[i + 1] for i in range(len(rs) - 1)):
+            raise InternalError("radii must decrease")
         for i in range(1, len(rs)):
             slack = 3.0 * (self.std_errors[i - 1] + self.std_errors[i])
-            assert self.volumes[i] <= self.volumes[i - 1] + slack, (
-                "volume estimates increase as r shrinks beyond 3 standard errors"
-            )
+            if self.volumes[i] > self.volumes[i - 1] + slack:
+                raise InternalError(
+                    "volume estimates increase as r shrinks beyond 3 standard errors"
+                )
 
     def to_rows(self) -> list[dict]:
         return [
@@ -403,10 +403,8 @@ def fit_exponent(
         raise InvalidInputError("expected a SampledPotential")
     if not (0.0 < r_min < r_max < 1.0):
         raise InvalidInputError("need 0 < r_min < r_max < 1")
-    if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 4:
-        raise InvalidInputError("grid_size must be an integer >= 4")
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1000:
-        raise InvalidInputError("need at least 1000 samples")
+    require_int(grid_size, 4, "grid_size must be an integer >= 4")
+    require_int(samples, 1000, "need at least 1000 samples")
     _validate_seed(seed)
 
     radii = np.geomspace(r_max, r_min, grid_size)

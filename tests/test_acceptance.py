@@ -106,7 +106,7 @@ def test_refined_inequality_certifies_the_recorded_system():
 
 def test_full_box_scan_reproduces_the_certified_list():
     start = time.perf_counter()
-    base = scan(ScanConfig(max_a3=128, fano_index=1, min_a0=3, workers=1))
+    base = scan(ScanConfig(max_a3=128, fano_index=1, min_a0=3))
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     assert {(c.weights.a, c.weights.d) for c in base.certified} == {
@@ -116,7 +116,7 @@ def test_full_box_scan_reproduces_the_certified_list():
     assert base.certified_refined == ()
     assert all(c.weights.a[0] <= 14 for c in base.entries)
 
-    refined = scan(ScanConfig(max_a3=128, fano_index=1, min_a0=3, workers=1, require_refined=True))
+    refined = scan(ScanConfig(max_a3=128, fano_index=1, min_a0=3, require_refined=True))
     assert {(c.weights.a, c.weights.d) for c in refined.certified} == {
         ((11, 49, 69, 128), 256),
         ((13, 35, 81, 128), 256),

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from lctkit import cli
+from lctkit.errors import InternalError
 
 
 def run(capsys, *argv):
@@ -96,7 +97,7 @@ def test_exit_code_insufficient_data(capsys):
 
 def test_exit_code_internal_assertion(capsys, monkeypatch):
     def broken(args):
-        assert False, "deliberately broken"
+        raise InternalError("deliberately broken")
 
     monkeypatch.setattr(cli, "_cmd_lct", broken)
     rc, _, err = run(capsys, "lct", "--spec", "diag:2,3")
@@ -280,6 +281,21 @@ def test_fano_scan_refined_flag(capsys):
         (b, r) for b, r in zip(base.splitlines(), refined.splitlines()) if b != r
     ]
     assert len(diff) == 1 and diff[0][1] == target
+
+
+def test_fano_scan_rejects_workers_flag(capsys):
+    for argv in (("fano-scan",), ("fano", "scan")):
+        rc, out, _ = run(capsys, *argv, "--max-weight", "12", "--workers", "2")
+        assert rc == 1
+        assert out == ""
+
+
+def test_fano_scan_box_over_budget_exits_1(capsys):
+    # 2.9e9 systems: refused before any array is built
+    rc, out, err = run(capsys, "fano-scan", "--max-weight", "512")
+    assert rc == 1
+    assert out == ""
+    assert "at most" in err
 
 
 def test_fano_scan_json(capsys):

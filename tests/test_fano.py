@@ -322,6 +322,15 @@ def test_rho_matches_delta_form():
         count += 1
 
 
+def test_pure_power_of_x3_exists_whenever_a3_divides_d():
+    # why certify needs no branch for a missing x3^(d/a3) when a3 | d
+    rng = random.Random(7)
+    for _ in range(300):
+        a = tuple(sorted(rng.randint(1, 30) for _ in range(4)))
+        d = a[3] * rng.randint(1, 6)
+        assert (0, 0, 0, d // a[3]) in weighted_monomials(WeightSystem(a, d))
+
+
 def test_refined_never_exceeds_base():
     # k - a1 - a2 <= k - a0 - a2 since the weights are sorted
     rng = random.Random(31)
@@ -487,13 +496,6 @@ def test_scan_refined_toggle():
     assert flips == [((9, 15, 17, 20), INCONCLUSIVE, KE_CERTIFIED_REFINED)]
 
 
-def test_scan_workers_deterministic():
-    one = scan(ScanConfig(max_a3=12, fano_index=1, workers=1))
-    two = scan(ScanConfig(max_a3=12, fano_index=1, workers=2))
-    assert one.entries == two.entries
-    assert one.examined == two.examined
-
-
 def test_scan_empty_box():
     # index 5 forces d = k - 5 <= -1 everywhere in a max_a3=1 box
     report = scan(ScanConfig(max_a3=1, fano_index=5))
@@ -509,11 +511,22 @@ def test_scan_config_validation():
         dict(max_a3=5, fano_index=0),
         dict(max_a3=5, min_a0=0),
         dict(max_a3=5, min_a0=7),
-        dict(max_a3=5, workers=0),
-        dict(max_a3=5, workers=True),
     ):
         with pytest.raises(InvalidInputError):
             ScanConfig(**kwargs)
+
+
+def test_scan_config_rejects_boxes_over_the_budget():
+    # the box holds C(max_a3 - min_a0 + 4, 4) systems; the whole a3 <= 256
+    # box still fits, and a3 <= 262 is the first full box that does not
+    ScanConfig(max_a3=256)
+    ScanConfig(max_a3=261)
+    with pytest.raises(InvalidInputError, match="at most"):
+        ScanConfig(max_a3=262)
+    with pytest.raises(InvalidInputError, match="2896986240"):
+        ScanConfig(max_a3=512)
+    # the budget counts the box, so raising a0 brings a large a3 back in
+    ScanConfig(max_a3=512, min_a0=300)
 
 
 def test_scan_csv():

@@ -3,10 +3,15 @@ fit behavior, and serialization."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lctkit
 from lctkit import (
     Diagonal,
     DirectSum,
@@ -24,7 +29,7 @@ from lctkit import (
     potential_from_spec,
     semicontinuity_experiment,
 )
-from lctkit.errors import InsufficientDataError, InvalidInputError
+from lctkit.errors import InsufficientDataError, InternalError, InvalidInputError
 
 SEED = 20240915
 
@@ -92,8 +97,9 @@ def test_thread_cap_env(monkeypatch):
     assert capped == free
 
 
-def test_thread_cap_env_must_be_integer(monkeypatch):
-    monkeypatch.setenv("LCT_THREADS", "many")
+@pytest.mark.parametrize("cap", ["many", "0", "-1"])
+def test_thread_cap_env_must_be_integer(monkeypatch, cap):
+    monkeypatch.setenv("LCT_THREADS", cap)
     with pytest.raises(InvalidInputError):
         estimate_sublevel_volume(monomial_potential([1]), 0.3, samples=1000, seed=SEED)
 
@@ -322,7 +328,7 @@ def test_fit_serialization():
 
 
 def test_exponent_fit_invariants_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalError):
         ExponentFit(
             radii=(0.1, 0.01),
             volumes=(1.0, 5.0),  # grows as r shrinks, far beyond noise
@@ -333,7 +339,7 @@ def test_exponent_fit_invariants_enforced():
             intercept=0.0,
             r_squared=1.0,
         )
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalError):
         ExponentFit(
             radii=(0.01, 0.1),  # must decrease
             volumes=(1.0, 1.0),
@@ -344,6 +350,28 @@ def test_exponent_fit_invariants_enforced():
             intercept=0.0,
             r_squared=1.0,
         )
+
+
+def test_exponent_fit_invariants_survive_optimized_mode():
+    # python -O strips assert statements; the invariants must not vanish
+    script = """
+from lctkit import ExponentFit
+from lctkit.errors import InternalError
+assert False, "assert statements run, so this is not python -O"
+try:
+    ExponentFit(radii=(0.01, 0.1), volumes=(1.0, 1.0), std_errors=(0.0, 0.0),
+                used_in_fit=(True, True), fitted_c=1.0, fitted_log_power=None,
+                intercept=0.0, r_squared=1.0)
+except InternalError as exc:
+    print("raised:", exc)
+"""
+    src = str(Path(lctkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised: radii must decrease\n"
 
 
 # ---------------------------------------------------------------------------
