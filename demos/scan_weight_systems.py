@@ -1,8 +1,11 @@
 """Scan a whole box of weight systems and certify the survivors.
 
-A vectorized integer prefilter throws away almost everything; the exact
-certifier only ever sees a few hundred candidates, so the full search
-box finishes in seconds on one core.
+The scan never builds the box.  Fletcher's condition (i) for x3 allows
+only a few values of a3 for each triple a0 <= a1 <= a2, so it visits
+about 441 thousand of the box's 11 million systems.  A vectorized
+integer prefilter then throws away almost all of those, and the exact
+certifier sees only a handful, so the box takes well under a second on
+one core.  "examined" still counts every system of the box.
 """
 
 import time
@@ -14,7 +17,7 @@ start = time.time()
 report = scan(config)
 elapsed = time.time() - start
 
-print(f"examined {report.examined:,} weight systems in {elapsed:.2f}s")
+print(f"scanned the box of {report.examined:,} weight systems in {elapsed:.2f}s")
 print(f"prefilter kept {report.prefilter_survivors}, "
       f"{len(report.entries)} pass all orbifold conditions")
 print(f"largest smallest-weight among hits: a0 = {report.max_a0}")

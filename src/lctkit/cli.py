@@ -22,6 +22,7 @@ supplies per-flag defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -391,15 +392,19 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-# (name, help, flag adder, handler, default format) per fano command
+# (name, help, flag adder, default format) per fano command; the handler
+# of fano command <name> is _cmd_fano_<name>
 _FANO_COMMANDS = (
-    ("certify", "certificate for one weight system", _add_weight_flags, _cmd_fano_certify, "json"),
-    ("monomials", "degree-d monomials", _add_weight_flags, _cmd_fano_monomials, "json"),
-    ("scan", "certify a whole weight box", _add_scan_flags, _cmd_fano_scan, "csv"),
+    ("certify", "certificate for one weight system", _add_weight_flags, "json"),
+    ("monomials", "degree-d monomials", _add_weight_flags, "json"),
+    ("scan", "certify a whole weight box", _add_scan_flags, "csv"),
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Handlers are stored
+    by name and looked up in this module when a command runs."""
     parser = argparse.ArgumentParser(
         prog="lctkit",
         description="Exact singularity exponents, Monte-Carlo volume oracles, "
@@ -412,13 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None, help="e.g. diag:2,3 or dsum(mono:2;diag:3)")
     p.add_argument("--resolution", default=None, help="path to resolution-data JSON")
     _add_format(p)
-    p.set_defaults(handler=_cmd_lct)
+    p.set_defaults(handler="_cmd_lct")
 
     p = sub.add_parser("volume-fit", help="Monte-Carlo exponent fit", allow_abbrev=False)
     p.add_argument("--spec", required=True, help="potential spec, e.g. mono:2,1")
     _add_fit_flags(p)
     _add_format(p)
-    p.set_defaults(handler=_cmd_volume_fit)
+    p.set_defaults(handler="_cmd_volume_fit")
 
     p = sub.add_parser(
         "semicontinuity", help="fitted exponents across z1^m + t z2^p", allow_abbrev=False
@@ -429,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.05, help="violation margin")
     _add_fit_flags(p)
     _add_format(p)
-    p.set_defaults(handler=_cmd_semicontinuity)
+    p.set_defaults(handler="_cmd_semicontinuity")
 
     p = sub.add_parser("bergman", help="radial Bergman approximant", allow_abbrev=False)
     p.add_argument("--c", required=True, help="weight coefficient, a rational like 3/4")
@@ -437,24 +442,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None, help="coefficient table cutoff")
     p.add_argument("--eval", type=float, default=None, help="evaluate psi_m at this |z|")
     _add_format(p)
-    p.set_defaults(handler=_cmd_bergman)
+    p.set_defaults(handler="_cmd_bergman")
 
     # each fano command is registered flat (fano-certify, with its help
     # line) and nested under the alias (fano certify) from the same row,
     # so the two cannot drift apart
-    for name, help_text, add_flags, handler, fmt in _FANO_COMMANDS:
+    for name, help_text, add_flags, fmt in _FANO_COMMANDS:
         p = sub.add_parser(f"fano-{name}", help=help_text, allow_abbrev=False)
         add_flags(p)
         _add_format(p, default=fmt)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=f"_cmd_fano_{name}")
 
     p = sub.add_parser("fano", help="nested alias: fano certify|monomials|scan", allow_abbrev=False)
     fano_sub = p.add_subparsers(dest="fano_command", required=True)
-    for name, _, add_flags, handler, fmt in _FANO_COMMANDS:
+    for name, _, add_flags, fmt in _FANO_COMMANDS:
         q = fano_sub.add_parser(name, allow_abbrev=False)
         add_flags(q)
         _add_format(q, default=fmt)
-        q.set_defaults(handler=handler)
+        q.set_defaults(handler=f"_cmd_fano_{name}")
 
     return parser
 
@@ -465,7 +470,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         argv = _inject_config(argv)
         args = _build_parser().parse_args(argv)
-        payload = args.handler(args)
+        payload = globals()[args.handler](args)
     except SystemExit as exc:  # argparse --help (0) or usage error
         code = exc.code if exc.code is not None else 0
         return 0 if code == 0 else 1

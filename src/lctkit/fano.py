@@ -19,9 +19,11 @@ systems whose curve verification is recorded in
 :data:`REFINED_CURVE_CHECKS` (the inequality alone proves nothing).
 
 Everything is exact integer/rational arithmetic; floats appear only in
-display renderings.  The scan over weight boxes uses a vectorized
-arithmetic prefilter (necessary conditions only) and re-checks every
-surviving system exactly, so prefiltering can never change the result.
+display renderings.  The scan over weight boxes enumerates only the
+systems that satisfy cond (i) for x3 (solving it for a3), runs a
+vectorized arithmetic prefilter on them (necessary conditions only) and
+re-checks every surviving system exactly, so neither step can change
+the result.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ NOT_ORBIFOLD = "NOT_ORBIFOLD"
 NOT_FANO = "NOT_FANO"
 
 # Largest box a scan accepts, counted as C(max_a3 - min_a0 + 4, 4): just
-# above the a3 <= 256 box.  The scan holds the whole box in memory before
-# filtering (368 MiB peak at a3 <= 128, a0 >= 3, growing like the box),
-# so larger boxes are refused up front instead of allocated.
+# above the a3 <= 256 box.  The scan never allocates the box: it builds
+# (a0, a1, a2) triples in blocks of a0 and solves cond (i) for a3, so its
+# peak RSS is about 60 MiB at a3 <= 128 and at a3 <= 256 alike (index 1;
+# 2-core x86-64, numpy 2.4).  The limit bounds the scan's time, which
+# still grows like the number of triples.
 MAX_BOX_SYSTEMS = 2 * 10**8
 
 # Systems whose twisted tangent bundle has been verified nef along every
@@ -466,17 +470,27 @@ class ScanConfig:
             require_int(getattr(self, name), 1, f"{name} must be a positive integer")
         if self.max_a3 < self.min_a0:
             raise InvalidInputError("max_a3 must be >= min_a0")
-        size = math.comb(self.max_a3 - self.min_a0 + 4, 4)
+        size = self.box_systems
         if size > MAX_BOX_SYSTEMS:
             raise InvalidInputError(
                 f"box a0>={self.min_a0}, a3<={self.max_a3} holds {size} weight systems; "
                 f"a scan takes at most {MAX_BOX_SYSTEMS}"
             )
 
+    @property
+    def box_systems(self) -> int:
+        """Number of a0 <= a1 <= a2 <= a3 systems in the box, in closed form."""
+        return math.comb(self.max_a3 - self.min_a0 + 4, 4)
+
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Fletcher-passing systems in the box, sorted by rho ascending."""
+    """Fletcher-passing systems in the box, sorted by rho ascending.
+
+    examined counts every system of the box, C(max_a3 - min_a0 + 4, 4),
+    not the far fewer candidates the scan actually enumerates; the box
+    is covered all the same, because every system left out fails cond (i).
+    """
 
     config: ScanConfig
     entries: tuple[Certificate, ...]
@@ -509,30 +523,81 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _box_arrays(config: ScanConfig) -> tuple[np.ndarray, ...]:
-    """All (a0<=a1<=a2<=a3) systems in the box as flat int32 columns."""
-    lo, hi = config.min_a0, config.max_a3
-    vals = np.arange(lo, hi + 1, dtype=np.int32)
+def _extend(cols: list[np.ndarray], hi: int) -> list[np.ndarray]:
+    """Repeat each row once per value v in [last column, hi] and append v
+    as a new nondecreasing column (the repeat/arange trick)."""
+    last = cols[-1]
+    counts = (hi - last + 1).astype(np.int64)
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    new = (np.arange(int(counts.sum()), dtype=np.int64) - offsets).astype(np.int32)
+    new += np.repeat(last, counts)
+    return [np.repeat(c, counts) for c in cols] + [new]
 
-    # pairs a0 <= a1 via repeat/arange tricks, then extend twice
-    counts = hi - vals + 1
-    p0 = np.repeat(vals, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-    p1 = (np.arange(p0.size, dtype=np.int64) - np.repeat(offsets, counts)).astype(np.int32) + p0
 
-    counts = hi - p1 + 1
-    t0 = np.repeat(p0, counts)
-    t1 = np.repeat(p1, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-    t2 = (np.arange(t0.size, dtype=np.int64) - np.repeat(offsets, counts)).astype(np.int32) + t1
+# Most (a0, a1, a2) triples a scan builds at once.  The prefilter walks
+# the box in runs of a0 holding about this many triples, so its
+# temporaries stay a few tens of MiB whatever the box size.
+_BLOCK_TRIPLES = 1 << 18
 
-    counts = hi - t2 + 1
-    a0 = np.repeat(t0, counts)
-    a1 = np.repeat(t1, counts)
-    a2 = np.repeat(t2, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-    a3 = (np.arange(a0.size, dtype=np.int64) - np.repeat(offsets, counts)).astype(np.int32) + a2
-    return a0, a1, a2, a3
+
+def _a0_blocks(config: ScanConfig) -> list[tuple[int, int]]:
+    """Split [min_a0, max_a3] into runs of a0 values, each with at most
+    _BLOCK_TRIPLES triples a0 <= a1 <= a2 <= max_a3 (or a single a0)."""
+    hi = config.max_a3
+    blocks, start, size = [], config.min_a0, 0
+    for a0 in range(config.min_a0, hi + 1):
+        triples = math.comb(hi - a0 + 2, 2)
+        if size and size + triples > _BLOCK_TRIPLES:
+            blocks.append((start, a0 - 1))
+            start, size = a0, 0
+        size += triples
+    blocks.append((start, hi))
+    return blocks
+
+
+def _box_arrays(
+    config: ScanConfig, a0_range: Optional[tuple[int, int]] = None
+) -> tuple[np.ndarray, ...]:
+    """The systems of the box (or of its a0_range slice) that satisfy
+    cond (i) for x3, as flat int32 columns in lexicographic order.
+
+    Cond (i) for x3 asks for x3^m or x3^m x_k (m >= 1) of degree
+    d = k - index.  Writing s = a0 + a1 + a2 and r = s - index or
+    r = s - a_k - index, that is r = (m - 1) a3, and d < 4 a3 leaves
+    m - 1 in {0, 1, 2}.  So only the triples a0 <= a1 <= a2 are built:
+    each gives a3 = r / (m - 1) for m - 1 in {1, 2}, and a triple with
+    some r == 0 (m = 1) leaves a3 free over [a2, max_a3].  Every other
+    system of the box fails cond (i) for x3, so the prefilter loses
+    nothing; the box itself is never allocated.
+    """
+    hi = config.max_a3
+    lo, top = a0_range or (config.min_a0, hi)
+    a0, a1, a2 = _extend(_extend([np.arange(lo, top + 1, dtype=np.int32)], hi), hi)
+    s = a0 + a1 + a2 - np.int32(config.fano_index)
+
+    # each candidate is keyed by (triple row, a3); triple rows are in
+    # lexicographic order, so sorted keys give sorted systems
+    n = hi + 1
+    keys = []
+    free = np.zeros(a0.size, dtype=bool)
+    for r in (s, s - a0, s - a1, s - a2):
+        free |= r == 0
+        # m - 1 = 1, then m - 1 = 2; a3 >= a2 >= 1 also rules out r <= 0
+        for a3, exact in ((r, True), (r >> 1, (r & 1) == 0)):
+            rows = np.flatnonzero(exact & (a3 >= a2) & (a3 <= hi))
+            keys.append(rows * n + a3[rows])
+    # m = 1 with r == 0: a3 runs over [a2, hi]
+    rows, _, f3 = _extend([np.flatnonzero(free), a2[free]], hi)
+    keys.append(rows * n + f3)
+
+    # sort and mask repeats: np.unique, hash-based in numpy 2.x, is ~70x
+    # slower on these keys
+    key = np.sort(np.concatenate(keys))
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    key = key[first]
+    rows, a3 = np.divmod(key, n)
+    return a0[rows], a1[rows], a2[rows], a3.astype(np.int32)
 
 
 def _pair_representable(target: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
@@ -548,20 +613,25 @@ def _pair_representable(target: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> n
         m += 1
 
 
-def _prefilter(config: ScanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Necessary conditions, vectorized: d > 0, triple coprimality,
-    cond (i) for every j, cond (ii)/(iv) for every pair.  Sound pruning
-    only; survivors still get the exact check."""
-    a0, a1, a2, a3 = _box_arrays(config)
-    examined = int(a0.size)
-    cols = (a0, a1, a2, a3)
+def _prefilter(config: ScanConfig) -> tuple[np.ndarray, ...]:
+    """Necessary conditions, vectorized over the candidates of
+    :func:`_box_arrays`, one block of a0 values at a time: d > 0,
+    cond (i) for every j, triple coprimality, cond (ii)/(iv) for every
+    pair.  Sound pruning only; survivors still get the exact check.
+    Returns the a0..a3 and d columns in lexicographic order."""
+    blocks = [
+        _prefilter_block(_box_arrays(config, block), config.fano_index)
+        for block in _a0_blocks(config)
+    ]
+    return tuple(np.concatenate(col) for col in zip(*blocks))
+
+
+def _prefilter_block(cols: tuple[np.ndarray, ...], fano_index: int) -> tuple[np.ndarray, ...]:
+    a0, a1, a2, a3 = cols
     # int32 is safe throughout: weights <= max_a3 and degrees <= 4*max_a3
-    d = (a0 + a1 + a2 + a3 - np.int32(config.fano_index)).astype(np.int32)
+    d = (a0 + a1 + a2 + a3 - np.int32(fano_index)).astype(np.int32)
 
     keep = d > 0
-    for i, j, l in _TRIPLES:
-        keep &= np.gcd(np.gcd(cols[i], cols[j]), cols[l]) == 1
-
     # cond (i): some x_j^m (m>=1) or x_j^m x_k (m>=1) reaches degree d
     for j in range(4):
         ok = (d % cols[j] == 0) & (d >= cols[j])
@@ -575,9 +645,11 @@ def _prefilter(config: ScanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     idx = np.flatnonzero(keep)
     a0s, a1s, a2s, a3s, ds = (c[idx] for c in (*cols, d))
 
-    # cond (ii) and (iv) exactly, on the reduced set
-    keep2 = np.ones(idx.size, dtype=bool)
+    # triple coprimality, then cond (ii) and (iv) exactly, on the reduced set
     weights = (a0s, a1s, a2s, a3s)
+    keep2 = np.ones(idx.size, dtype=bool)
+    for i, j, l in _TRIPLES:
+        keep2 &= np.gcd(np.gcd(weights[i], weights[j]), weights[l]) == 1
     for j, k in _PAIRS:
         pair_rep = _pair_representable(ds, weights[j], weights[k])
         others = [i for i in range(4) if i not in (j, k)]
@@ -591,7 +663,7 @@ def _prefilter(config: ScanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         cond_iv = ~noncoprime | pair_rep
         keep2 &= cond_ii & cond_iv
 
-    return a0s[keep2], a1s[keep2], a2s[keep2], a3s[keep2], ds[keep2], examined
+    return a0s[keep2], a1s[keep2], a2s[keep2], a3s[keep2], ds[keep2]
 
 
 def scan(config: ScanConfig) -> ScanReport:
@@ -602,7 +674,7 @@ def scan(config: ScanConfig) -> ScanReport:
     is judged by the base criterion alone; with it True, systems whose
     curve verification is recorded may appear as KE_CERTIFIED_REFINED.
     """
-    a0s, a1s, a2s, a3s, ds, examined = _prefilter(config)
+    a0s, a1s, a2s, a3s, ds = _prefilter(config)
     systems = [
         WeightSystem((int(w0), int(w1), int(w2), int(w3)), int(dd))
         for w0, w1, w2, w3, dd in zip(a0s, a1s, a2s, a3s, ds)
@@ -614,6 +686,6 @@ def scan(config: ScanConfig) -> ScanReport:
     return ScanReport(
         config=config,
         entries=tuple(entries),
-        examined=examined,
+        examined=config.box_systems,
         prefilter_survivors=len(systems),
     )

@@ -29,6 +29,7 @@ from lctkit import (
     weighted_monomials,
 )
 from lctkit.errors import InvalidInputError
+from lctkit import fano
 
 W1 = WeightSystem((11, 49, 69, 128), 256)
 W2 = WeightSystem((13, 35, 81, 128), 256)
@@ -449,15 +450,75 @@ def brute_scan(config):
 
 
 def test_scan_matches_brute_force():
-    config = ScanConfig(max_a3=12, fano_index=1)
-    report = scan(config)
-    expected = brute_scan(config)
-    assert report.examined == math.comb(15, 4)  # nondecreasing 4-tuples from 1..12
-    assert len(report.entries) == len(expected) == 11
-    assert [c.weights for c in report.entries] == [c.weights for c in expected]
-    assert [c.verdict for c in report.entries] == [c.verdict for c in expected]
-    assert report.prefilter_survivors >= len(report.entries)
-    assert report.prefilter_survivors <= report.examined
+    # index >= 2 exercises the candidates whose a3 is left free
+    for index in (1, 2, 3):
+        config = ScanConfig(max_a3=12, fano_index=index)
+        report = scan(config)
+        expected = brute_scan(config)
+        assert report.examined == math.comb(15, 4)  # nondecreasing 4-tuples from 1..12
+        if index == 1:
+            assert len(expected) == 11
+        assert len(report.entries) == len(expected)
+        assert [c.weights for c in report.entries] == [c.weights for c in expected]
+        assert [c.verdict for c in report.entries] == [c.verdict for c in expected]
+        assert report.prefilter_survivors >= len(report.entries)
+        assert report.prefilter_survivors <= report.examined
+
+
+def _x3_cond_i(a, index):
+    """Pure-Python cond (i) for x3: x3^m or x3^m x_k (m >= 1) has degree d."""
+    d = sum(a) - index
+    return any(t >= a[3] and t % a[3] == 0 for t in (d, d - a[0], d - a[1], d - a[2]))
+
+
+def test_box_arrays_is_the_x3_cond_i_slice_of_the_box():
+    for max_a3, min_a0, index in itertools.product((12, 24), (1, 2, 3), range(1, 6)):
+        config = ScanConfig(max_a3=max_a3, fano_index=index, min_a0=min_a0)
+        rows = list(zip(*(col.tolist() for col in fano._box_arrays(config))))
+        expected = [
+            a
+            for a in itertools.combinations_with_replacement(range(min_a0, max_a3 + 1), 4)
+            if _x3_cond_i(a, index)
+        ]
+        assert rows == expected, (max_a3, min_a0, index)
+    # index 2 with a0 = a1 = 1: x3^1 has degree d = a3 for every a2 <= a3
+    rows = set(zip(*(col.tolist() for col in fano._box_arrays(ScanConfig(max_a3=24, fano_index=2)))))
+    free = {(1, 1, a2, a3) for a2 in range(1, 25) for a3 in range(a2, 25)}
+    assert free <= rows
+
+
+def test_box_arrays_enumerates_a_small_part_of_the_box():
+    config = ScanConfig(max_a3=128, min_a0=3)
+    rows = fano._box_arrays(config)[0].size
+    assert config.box_systems == math.comb(129, 4)
+    assert rows < math.comb(129, 4) // 10
+
+
+def test_prefilter_does_not_depend_on_the_block_size(monkeypatch):
+    config = ScanConfig(max_a3=40, fano_index=2)
+    whole = fano._prefilter(config)
+    assert fano._a0_blocks(config) == [(1, 40)]
+    monkeypatch.setattr(fano, "_BLOCK_TRIPLES", 100)
+    blocks = fano._a0_blocks(config)
+    assert len(blocks) > 10
+    assert [lo for lo, _ in blocks] == [1] + [hi + 1 for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == 40
+    split = fano._prefilter(config)
+    assert all(a.tolist() == b.tolist() for a, b in zip(whole, split))
+
+
+def test_scan_prefilter_survivor_goldens():
+    # measured with the full-box prefilter the enumerator replaced
+    for max_a3, min_a0, index, survivors in (
+        (20, 1, 2, 281),
+        (40, 1, 1, 25),
+        (64, 1, 3, 613),
+        (128, 3, 1, 15),
+    ):
+        config = ScanConfig(max_a3=max_a3, fano_index=index, min_a0=min_a0)
+        report = scan(config)
+        assert report.prefilter_survivors == survivors, (max_a3, min_a0, index)
+        assert report.examined == math.comb(max_a3 - min_a0 + 4, 4)
 
 
 def test_scan_entry_properties():
