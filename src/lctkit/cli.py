@@ -177,13 +177,11 @@ def _cmd_lct(args: argparse.Namespace) -> str:
 def _cmd_volume_fit(args: argparse.Namespace) -> str:
     spec = lct.parse_spec(args.spec)
     potential = vol.potential_from_spec(spec)
-    config = _fit_config(args)
-    fit = vol._fit_with_config(potential, config)
+    fit = vol.fit_exponent(potential, **vars(_fit_config(args)))
     exact = lct.lct_monomial(spec)
     if args.format == "json":
-        payload = json.loads(fit.to_json())
-        payload = {"spec": lct.spec_to_text(spec), "exact_c": str(exact), **payload}
-        return _dumps(payload)
+        payload = {"spec": lct.spec_to_text(spec), "exact_c": str(exact)}
+        return _dumps({**payload, **fit.to_json_dict()})
     if args.format == "csv":
         return fit.to_csv().rstrip("\n")
     lines = [

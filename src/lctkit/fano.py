@@ -615,9 +615,9 @@ def _pair_representable(target: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> n
 
 def _prefilter(config: ScanConfig) -> tuple[np.ndarray, ...]:
     """Necessary conditions, vectorized over the candidates of
-    :func:`_box_arrays`, one block of a0 values at a time: d > 0,
-    cond (i) for every j, triple coprimality, cond (ii)/(iv) for every
-    pair.  Sound pruning only; survivors still get the exact check.
+    :func:`_box_arrays`, one block of a0 values at a time: cond (i) for
+    x0, x1, x2, triple coprimality, cond (ii)/(iv) for every pair.
+    Sound pruning only; survivors still get the exact check.
     Returns the a0..a3 and d columns in lexicographic order."""
     blocks = [
         _prefilter_block(_box_arrays(config, block), config.fano_index)
@@ -631,9 +631,12 @@ def _prefilter_block(cols: tuple[np.ndarray, ...], fano_index: int) -> tuple[np.
     # int32 is safe throughout: weights <= max_a3 and degrees <= 4*max_a3
     d = (a0 + a1 + a2 + a3 - np.int32(fano_index)).astype(np.int32)
 
-    keep = d > 0
-    # cond (i): some x_j^m (m>=1) or x_j^m x_k (m>=1) reaches degree d
-    for j in range(4):
+    # cond (i): some x_j^m (m>=1) or x_j^m x_k (m>=1) reaches degree d.
+    # Every row of _box_arrays meets it for x3 and has d = s + a3 >= 1
+    # (s = a0 + a1 + a2 - index): an exact row has s >= r >= a2 >= 1, a
+    # free row s >= 0 and a3 >= 1.  So neither d > 0 nor j = 3 is checked.
+    keep = np.ones(d.size, dtype=bool)
+    for j in range(3):
         ok = (d % cols[j] == 0) & (d >= cols[j])
         for k in range(4):
             if k == j:
@@ -674,10 +677,12 @@ def scan(config: ScanConfig) -> ScanReport:
     is judged by the base criterion alone; with it True, systems whose
     curve verification is recorded may appear as KE_CERTIFIED_REFINED.
     """
-    a0s, a1s, a2s, a3s, ds = _prefilter(config)
+    # d = k - index <= 4 max_a3 - index, so an index of 4 max_a3 or more
+    # leaves no system with d > 0 (and need not fit in int32 columns)
+    columns = _prefilter(config) if config.fano_index < 4 * config.max_a3 else ()
     systems = [
         WeightSystem((int(w0), int(w1), int(w2), int(w3)), int(dd))
-        for w0, w1, w2, w3, dd in zip(a0s, a1s, a2s, a3s, ds)
+        for w0, w1, w2, w3, dd in zip(*columns)
     ]
 
     certs = [certify(w, allow_refined=config.require_refined) for w in systems]

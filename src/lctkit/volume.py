@@ -10,7 +10,9 @@ experiments.
 
 Estimates are deterministic for a fixed seed: sampling is partitioned
 into fixed-size chunks with per-chunk seeds derived by SeedSequence
-spawning, and the merged counts are independent of chunk scheduling.
+spawning.  The chunks run on min(workers, LCT_THREADS) threads (1 by
+default, which is the calling thread), and the merged counts are
+independent of chunk scheduling.
 One common sample set is counted against every radius of a fit grid
 (common random numbers), which makes the volume curve exactly monotone
 in r and keeps the fitted slope variance small.
@@ -34,7 +36,6 @@ from .lct import (
     MonomialIdealSpec,
     PrincipalMonomial,
     SeparatedSum,
-    _require_spec,
 )
 
 #: Fixed default seed; golden outputs must never depend on wall-clock time.
@@ -83,12 +84,9 @@ class SampledPotential:
         if not callable(self.evaluator):
             raise InvalidInputError("evaluator must be callable")
         r = self.radius
-        if isinstance(r, (int, float)):
-            r = (float(r),) * self.dimension
-        else:
-            r = tuple(float(x) for x in r)
-            if len(r) == 1:
-                r = r * self.dimension
+        r = tuple(float(x) for x in ((r,) if isinstance(r, (int, float)) else r))
+        if len(r) == 1:
+            r *= self.dimension
         if len(r) != self.dimension:
             raise InvalidInputError("need one polydisk radius per coordinate")
         if any(not 0.0 < x < math.inf for x in r):
@@ -106,42 +104,6 @@ class SampledPotential:
 
 def _as_complex(coords: np.ndarray) -> np.ndarray:
     return coords[:, 0::2] + 1j * coords[:, 1::2]
-
-
-def monomial_potential(
-    exponents: Sequence[int], radius: Union[float, Sequence[float]] = 1.0
-) -> SampledPotential:
-    """phi = sum alpha_i log|z_i|, the potential of a principal monomial."""
-    spec = PrincipalMonomial(tuple(exponents))
-    alpha = np.asarray(spec.exponents, dtype=float)
-
-    def evaluator(coords: np.ndarray) -> np.ndarray:
-        sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
-        with np.errstate(divide="ignore"):
-            return 0.5 * (np.log(sq) @ alpha)
-
-    return SampledPotential(evaluator, spec.nvars, _radius_tuple(radius, spec.nvars))
-
-
-def diagonal_potential(
-    orders: Sequence[int], radius: Union[float, Sequence[float]] = 1.0
-) -> SampledPotential:
-    """phi = log sum |z_i|^{m_i}, the standard potential of a diagonal ideal."""
-    spec = Diagonal(tuple(orders))
-    m = np.asarray(spec.orders, dtype=float)
-
-    def evaluator(coords: np.ndarray) -> np.ndarray:
-        sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
-        with np.errstate(divide="ignore"):
-            return np.log(np.sum(sq ** (m / 2.0), axis=1))
-
-    return SampledPotential(evaluator, spec.nvars, _radius_tuple(radius, spec.nvars))
-
-
-def _radius_tuple(radius, n: int) -> tuple[float, ...]:
-    if isinstance(radius, (int, float)):
-        return (float(radius),) * n
-    return tuple(float(x) for x in radius)
 
 
 def _complex_function(spec: MonomialIdealSpec, offset: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -169,36 +131,66 @@ def _complex_function(spec: MonomialIdealSpec, offset: int) -> Callable[[np.ndar
     )
 
 
+def _evaluator(spec: MonomialIdealSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluator of a spec's potential (see :func:`potential_from_spec`)
+    on interleaved coordinates, built by recursion over the spec."""
+    if isinstance(spec, PrincipalMonomial):
+        alpha = np.asarray(spec.exponents, dtype=float)
+
+        def monomial(coords: np.ndarray) -> np.ndarray:
+            sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
+            with np.errstate(divide="ignore"):
+                return 0.5 * (np.log(sq) @ alpha)
+
+        return monomial
+    if isinstance(spec, Diagonal):
+        half = np.asarray(spec.orders, dtype=float) / 2.0
+
+        def diagonal(coords: np.ndarray) -> np.ndarray:
+            sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
+            with np.errstate(divide="ignore"):
+                return np.log(np.sum(sq**half, axis=1))
+
+        return diagonal
+    if isinstance(spec, DirectSum):
+        left, right = _evaluator(spec.left), _evaluator(spec.right)
+        off = 2 * spec.left.nvars
+        return lambda coords: np.logaddexp(left(coords[:, :off]), right(coords[:, off:]))
+    if isinstance(spec, SeparatedSum):
+        fn = _complex_function(spec, 0)
+
+        def function(coords: np.ndarray) -> np.ndarray:
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(fn(_as_complex(coords))))
+
+        return function
+    raise InvalidInputError(f"expected a monomial ideal spec, got {type(spec).__name__}")
+
+
 def potential_from_spec(
     spec: MonomialIdealSpec, radius: Union[float, Sequence[float]] = 1.0
 ) -> SampledPotential:
     """Sampling potential matching the exact threshold semantics of a spec.
 
-    Principal monomials and separated sums become log|f|; diagonal ideals
-    become log sum |z_i|^{m_i}; direct sums combine via logaddexp (the
-    max-equivalent potential of an ideal sum).
+    Principal monomials become sum alpha_i log|z_i| and separated sums
+    log|f|; diagonal ideals become log sum |z_i|^{m_i}; direct sums
+    combine via logaddexp (the max-equivalent potential of an ideal sum).
     """
-    _require_spec(spec)
-    if isinstance(spec, PrincipalMonomial):
-        return monomial_potential(spec.exponents, radius)
-    if isinstance(spec, Diagonal):
-        return diagonal_potential(spec.orders, radius)
-    if isinstance(spec, DirectSum):
-        left = potential_from_spec(spec.left)
-        right = potential_from_spec(spec.right)
-        off = 2 * spec.left.nvars
+    return SampledPotential(_evaluator(spec), spec.nvars, radius)
 
-        def evaluator(coords: np.ndarray) -> np.ndarray:
-            return np.logaddexp(left.evaluator(coords[:, :off]), right.evaluator(coords[:, off:]))
 
-        return SampledPotential(evaluator, spec.nvars, _radius_tuple(radius, spec.nvars))
-    fn = _complex_function(spec, 0)
+def monomial_potential(
+    exponents: Sequence[int], radius: Union[float, Sequence[float]] = 1.0
+) -> SampledPotential:
+    """phi = sum alpha_i log|z_i|, the potential of a principal monomial."""
+    return potential_from_spec(PrincipalMonomial(tuple(exponents)), radius)
 
-    def evaluator(coords: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(fn(_as_complex(coords))))
 
-    return SampledPotential(evaluator, spec.nvars, _radius_tuple(radius, spec.nvars))
+def diagonal_potential(
+    orders: Sequence[int], radius: Union[float, Sequence[float]] = 1.0
+) -> SampledPotential:
+    """phi = log sum |z_i|^{m_i}, the standard potential of a diagonal ideal."""
+    return potential_from_spec(Diagonal(tuple(orders)), radius)
 
 
 def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
@@ -206,8 +198,8 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
 
     At t = 0 the exact exponent is 1/m; for t != 0 it is min(1, 1/m + 1/p).
     """
-    if min(m, p) < 1:
-        raise InvalidInputError("exponents must be >= 1")
+    require_int(m, 1, "exponent m must be an integer >= 1, got {value!r}")
+    require_int(p, 1, "exponent p must be an integer >= 1, got {value!r}")
 
     def make(t: float) -> SampledPotential:
         tt = float(t)
@@ -226,23 +218,24 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
 # sampling core
 
 
-def _validate_seed(seed: int) -> int:
-    return require_int(seed, 0, "seed must be a nonnegative integer")
-
-
-def _counts_below(
+def _sample_volumes(
     p: SampledPotential,
     log_thresholds: np.ndarray,
     samples: int,
     seed: int,
-    workers: Optional[int] = None,
-) -> np.ndarray:
-    """Number of uniform polydisk samples with phi < each threshold.
+    workers: Optional[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counts of uniform polydisk samples with phi < each threshold, and
+    the volumes and binomial standard errors they give.
 
     Chunked so results are bit-identical for any worker count: chunk
     boundaries depend only on the sample count, chunk seeds only on the
     root seed and chunk index, and the merge is an integer sum.
     """
+    if not isinstance(p, SampledPotential):
+        raise InvalidInputError("expected a SampledPotential")
+    require_int(samples, 1000, "need at least 1000 samples")
+    require_int(seed, 0, "seed must be a nonnegative integer")
     sizes = [_CHUNK] * (samples // _CHUNK)
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
@@ -252,10 +245,10 @@ def _counts_below(
 
     def one_chunk(i: int) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(children[i]))
-        u = rng.random((sizes[i], n))
-        v = rng.random((sizes[i], n))
-        rad = radius * np.sqrt(u)  # area-uniform radius on each disk
-        ang = (2.0 * np.pi) * v
+        # area-uniform radius on each disk; u is drawn before v, and each
+        # is freed at once, which keeps a chunk's temporaries small
+        rad = radius * np.sqrt(rng.random((sizes[i], n)))
+        ang = (2.0 * np.pi) * rng.random((sizes[i], n))
         coords = np.empty((sizes[i], 2 * n))
         coords[:, 0::2] = rad * np.cos(ang)
         coords[:, 1::2] = rad * np.sin(ang)
@@ -266,16 +259,19 @@ def _counts_below(
             )
         return (phi[:, None] < log_thresholds[None, :]).sum(axis=0, dtype=np.int64)
 
-    total = np.zeros(len(log_thresholds), dtype=np.int64)
-    nworkers = _worker_count(workers)
-    if nworkers == 1 or len(sizes) == 1:
-        for i in range(len(sizes)):
-            total += one_chunk(i)
+    chunks = range(len(sizes))
+    nworkers = min(_worker_count(workers), len(sizes))
+    if nworkers == 1:
+        # On the calling thread: a pool thread started per call may come up
+        # before the last call's thread has handed back its malloc arena, and
+        # the fresh arena glibc then opens makes memory and time jump at random.
+        counts = sum(map(one_chunk, chunks))
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            for counts in pool.map(one_chunk, range(len(sizes))):
-                total += counts
-    return total
+            counts = sum(pool.map(one_chunk, chunks))
+    frac = counts / samples
+    vol = p.polydisk_volume
+    return counts, vol * frac, vol * np.sqrt(frac * (1.0 - frac) / samples)
 
 
 def estimate_sublevel_volume(
@@ -290,16 +286,10 @@ def estimate_sublevel_volume(
     Returns the volume estimate and its binomial standard error, both
     scaled by the polydisk volume.  Deterministic for a fixed seed.
     """
-    if not isinstance(p, SampledPotential):
-        raise InvalidInputError("expected a SampledPotential")
     if not 0.0 < r < 1.0:
         raise InvalidInputError("radius r must lie in (0, 1)")
-    require_int(samples, 1000, "need at least 1000 samples")
-    _validate_seed(seed)
-    counts = _counts_below(p, np.array([math.log(r)]), samples, seed, workers)
-    frac = counts[0] / samples
-    vol = p.polydisk_volume
-    return vol * frac, vol * math.sqrt(frac * (1.0 - frac) / samples)
+    _, volumes, std_errors = _sample_volumes(p, np.array([math.log(r)]), samples, seed, workers)
+    return float(volumes[0]), float(std_errors[0])
 
 
 # ---------------------------------------------------------------------------
@@ -339,40 +329,37 @@ class ExponentFit:
                     "volume estimates increase as r shrinks beyond 3 standard errors"
                 )
 
+    def _grid(self):
+        return zip(self.radii, self.volumes, self.std_errors, self.used_in_fit)
+
     def to_rows(self) -> list[dict]:
         return [
-            {
-                "r": self.radii[i],
-                "volume": self.volumes[i],
-                "std_error": self.std_errors[i],
-                "used_in_fit": self.used_in_fit[i],
-            }
-            for i in range(len(self.radii))
+            {"r": r, "volume": v, "std_error": e, "used_in_fit": u} for r, v, e, u in self._grid()
         ]
 
     def to_csv(self) -> str:
         lines = ["r,volume,std_error,used_in_fit"]
-        for row in self.to_rows():
-            lines.append(
-                f"{row['r']!r},{row['volume']!r},{row['std_error']!r},"
-                f"{str(row['used_in_fit']).lower()}"
-            )
+        lines += [f"{r!r},{v!r},{e!r},{str(u).lower()}" for r, v, e, u in self._grid()]
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json_dict(self) -> dict:
+        return {
             "fitted_c": self.fitted_c,
             "fitted_log_power": self.fitted_log_power,
             "intercept": self.intercept,
             "r_squared": self.r_squared,
             "grid": self.to_rows(),
         }
-        return json.dumps(payload, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for fit_exponent / semicontinuity_experiment."""
+    """Knobs for fit_exponent / semicontinuity_experiment; the field names
+    are fit_exponent's keyword names, so ``fit_exponent(p, **vars(config))``
+    runs a configured fit."""
 
     r_min: float = 1e-3
     r_max: float = 1e-1
@@ -399,32 +386,22 @@ def fit_exponent(
     column is exactly nonincreasing as r shrinks.  Least squares on the
     usable (nonzero) grid points; fitted_c is half the log r slope.
     """
-    if not isinstance(p, SampledPotential):
-        raise InvalidInputError("expected a SampledPotential")
     if not (0.0 < r_min < r_max < 1.0):
         raise InvalidInputError("need 0 < r_min < r_max < 1")
     require_int(grid_size, 4, "grid_size must be an integer >= 4")
-    require_int(samples, 1000, "need at least 1000 samples")
-    _validate_seed(seed)
 
     radii = np.geomspace(r_max, r_min, grid_size)
-    counts = _counts_below(p, np.log(radii), samples, seed, workers)
-    frac = counts / samples
-    vol = p.polydisk_volume
-    volumes = vol * frac
-    std_errors = vol * np.sqrt(frac * (1.0 - frac) / samples)
-
+    counts, volumes, std_errors = _sample_volumes(p, np.log(radii), samples, seed, workers)
     used = counts > 0
-    if int(used.sum()) < 3:
-        raise InsufficientDataError(
-            f"only {int(used.sum())} grid points have nonzero volume; need 3"
-        )
+    nused = int(used.sum())
+    if nused < 3:
+        raise InsufficientDataError(f"only {nused} grid points have nonzero volume; need 3")
 
     y = np.log(volumes[used])
     cols = [np.log(radii[used])]
     if with_log_correction:
         cols.append(np.log(np.log(1.0 / radii[used])))
-    cols.append(np.ones(int(used.sum())))
+    cols.append(np.ones(nused))
     design = np.column_stack(cols)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
 
@@ -443,19 +420,6 @@ def fit_exponent(
         fitted_log_power=float(coef[1]) if with_log_correction else None,
         intercept=float(coef[-1]),
         r_squared=r_squared,
-    )
-
-
-def _fit_with_config(p: SampledPotential, config: FitConfig) -> ExponentFit:
-    return fit_exponent(
-        p,
-        r_min=config.r_min,
-        r_max=config.r_max,
-        grid_size=config.grid_size,
-        samples=config.samples,
-        seed=config.seed,
-        with_log_correction=config.with_log_correction,
-        workers=config.workers,
     )
 
 
@@ -497,8 +461,8 @@ def semicontinuity_experiment(
         raise InvalidInputError("t_values must be nonempty")
     if 0.0 not in t_values:
         raise InvalidInputError("t_values must include the baseline t = 0")
-    if tolerance < 0:
-        raise InvalidInputError("tolerance must be nonnegative")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvalidInputError("tolerance must be a finite nonnegative number")
     config = config or FitConfig()
 
     fits = []
@@ -506,7 +470,7 @@ def semicontinuity_experiment(
         potential = family(t)
         if not isinstance(potential, SampledPotential):
             raise InvalidInputError(f"family({t}) did not return a SampledPotential")
-        fits.append(_fit_with_config(potential, config))
+        fits.append(fit_exponent(potential, **vars(config)))
     baseline = fits[t_values.index(0.0)].fitted_c
     violations = tuple(
         t for t, fit in zip(t_values, fits) if fit.fitted_c < baseline - tolerance

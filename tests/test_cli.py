@@ -160,6 +160,14 @@ def test_semicontinuity_small(capsys):
     assert payload["baseline_c"] == payload["entries"][0]["fitted_c"]
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_semicontinuity_rejects_non_finite_tolerance(capsys, tolerance):
+    rc, out, err = run(capsys, "semicontinuity", "--tolerance", tolerance, *FAST_FIT)
+    assert rc == 1
+    assert out == ""
+    assert "tolerance" in err
+
+
 def test_semicontinuity_requires_baseline(capsys):
     rc, _, err = run(capsys, "semicontinuity", "--t", "0.5,1", *FAST_FIT)
     assert rc == 1
@@ -296,6 +304,14 @@ def test_fano_scan_box_over_budget_exits_1(capsys):
     assert rc == 1
     assert out == ""
     assert "at most" in err
+
+
+def test_fano_scan_huge_index_is_an_empty_scan(capsys):
+    # index >= 4 * max_a3 leaves every d <= 0; no int32 column is built
+    rc, out, err = run(capsys, "fano-scan", "--max-weight", "8", "--index", "3000000000")
+    assert rc == 0
+    assert out == "a0,a1,a2,a3,d,fletcher,rho_num,rho_den,rho_float,verdict\n"
+    assert err == ""
 
 
 def test_fano_scan_json(capsys):

@@ -302,6 +302,13 @@ def any_specs(depth=2):
     )
 
 
+@given(any_specs())
+def test_spec_text_round_trip(spec):
+    parsed = parse_spec(spec_to_text(spec))
+    assert parsed == spec
+    assert spec_to_text(parsed) == spec_to_text(spec)
+
+
 @given(monomial_specs(), monomial_specs())
 def test_separated_sum_is_subadditive(left, right):
     total = lct_monomial(left) + lct_monomial(right)

@@ -1,6 +1,7 @@
 """Monte-Carlo sublevel volumes: closed-form agreement, determinism,
 fit behavior, and serialization."""
 
+import inspect
 import json
 import math
 import os
@@ -46,6 +47,7 @@ def test_disk_area_law():
     # {log|z| < log r} is the disk of radius r, volume pi r^2
     p = monomial_potential([1])
     est, err = estimate_sublevel_volume(p, 0.5, samples=200_000, seed=SEED)
+    assert type(est) is float and type(err) is float
     assert err > 0
     assert abs(est - math.pi * 0.25) <= 3 * err
 
@@ -222,12 +224,12 @@ def test_binomial_family():
     assert p.dimension == 2
     coords = np.array([[0.3, 0.1, 0.2, -0.4]])
     z1, z2 = 0.3 + 0.1j, 0.2 - 0.4j
-    assert p.evaluator(coords)[0] == pytest.approx(abs(z1**2 + 0.5 * z2**3), abs=0) or True
     np.testing.assert_allclose(
         p.evaluator(coords), [math.log(abs(z1**2 + 0.5 * z2**3))], rtol=1e-12
     )
-    with pytest.raises(InvalidInputError):
-        binomial_family(0, 2)
+    for m, p in ((0, 2), (2, 0), (2.5, 2), (2, 2.5), (True, 3), (3, True), ("2", 2)):
+        with pytest.raises(InvalidInputError):
+            binomial_family(m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +309,12 @@ def test_fit_argument_errors():
         fit_exponent("nope")
 
 
+def test_fit_config_fields_are_fit_exponent_keywords():
+    # semicontinuity_experiment and the CLI run fit_exponent(p, **vars(config))
+    params = list(inspect.signature(fit_exponent).parameters.values())[1:]
+    assert {q.name: q.default for q in params} == vars(FitConfig())
+
+
 def test_fit_serialization():
     fit = fit_exponent(
         monomial_potential([1]),
@@ -322,6 +330,7 @@ def test_fit_serialization():
     assert len(lines) == 5
     assert lines[1].endswith(",true") or lines[1].endswith(",false")
     payload = json.loads(fit.to_json())
+    assert payload == fit.to_json_dict()
     assert payload["fitted_c"] == fit.fitted_c
     assert len(payload["grid"]) == 4
     assert set(payload["grid"][0]) == {"r", "volume", "std_error", "used_in_fit"}
@@ -413,8 +422,9 @@ def test_semicontinuity_argument_errors():
         semicontinuity_experiment(fam, [0.5, 1.0], config=SMALL_FIT)  # baseline missing
     with pytest.raises(InvalidInputError):
         semicontinuity_experiment(fam, [], config=SMALL_FIT)
-    with pytest.raises(InvalidInputError):
-        semicontinuity_experiment(fam, [0.0], config=SMALL_FIT, tolerance=-0.1)
+    for tolerance in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            semicontinuity_experiment(fam, [0.0], config=SMALL_FIT, tolerance=tolerance)
     with pytest.raises(InvalidInputError):
         semicontinuity_experiment("not callable", [0.0])
     with pytest.raises(InvalidInputError):
