@@ -101,11 +101,15 @@ def _fit_config(args: argparse.Namespace) -> vol.FitConfig:
     )
 
 
+# store_true flags, which a config file sets with a true/false value
+_BOOLEAN_FLAGS = ("log-correction", "refined")
+
+
 def _read_config_file(path: str) -> list[str]:
     """Turn key=value lines into flag tokens injected before user flags."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InvalidInputError(f"cannot read config file {path}: {exc}") from exc
     tokens: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -118,15 +122,9 @@ def _read_config_file(path: str) -> list[str]:
         key = key.strip().replace("_", "-")
         value = value.strip()
         flag = f"--{key}"
-        if value.lower() in ("true", "yes", "on", "1") and key in (
-            "log-correction",
-            "refined",
-        ):
+        if key in _BOOLEAN_FLAGS and value.lower() in ("true", "yes", "on", "1"):
             tokens.append(flag)
-        elif value.lower() in ("false", "no", "off", "0") and key in (
-            "log-correction",
-            "refined",
-        ):
+        elif key in _BOOLEAN_FLAGS and value.lower() in ("false", "no", "off", "0"):
             continue
         else:
             tokens.extend([flag, value])
@@ -163,7 +161,7 @@ def _cmd_lct(args: argparse.Namespace) -> str:
     else:
         try:
             text = Path(args.resolution).read_text()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise InvalidInputError(f"cannot read {args.resolution}: {exc}") from exc
         c = lct.lct_from_resolution(lct.ResolutionData.from_json(text))
     lam = lct.arnold_multiplicity(c)
@@ -485,7 +483,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if args.out:
         try:
             Path(args.out).write_text(payload + "\n")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 1
     return 0

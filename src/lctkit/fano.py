@@ -126,8 +126,9 @@ class FletcherReport:
         {j,k}) or a 2-tuple of monomials x_j^m x_k^p x_l with distinct
         third variables l, or None.
     cond_iii: per variable j, a monomial with exponent 0 on j, or None.
-    cond_iv: per pair j < k with gcd(a_j, a_k) > 1, a monomial supported
-        on {j,k}, or None; coprime pairs are vacuous and not listed.
+    cond_iv: per pair j < k with gcd(a_j, a_k) > 1, cond (ii)'s witness
+        for the pair when it is a 1-tuple (a monomial supported on {j,k}),
+        or None; coprime pairs are vacuous and not listed.
     """
 
     cond_i: dict[int, Optional[Monomial]]
@@ -179,73 +180,47 @@ class FletcherReport:
         }
 
 
-def _support(mono: Monomial) -> tuple[int, ...]:
-    return tuple(i for i in range(4) if mono[i] > 0)
-
-
 def _fletcher_from(w: WeightSystem, monos: list[Monomial]) -> FletcherReport:
-    supports = [_support(m) for m in monos]
-
-    cond_i: dict[int, Optional[Monomial]] = {}
-    for j in range(4):
-        witness = None
-        for mono, supp in zip(monos, supports):
-            if mono[j] < 1:
-                continue
-            if supp == (j,):
-                witness = mono
-                break
-            if len(supp) == 2 and j in supp:
-                other = supp[0] if supp[1] == j else supp[1]
-                if mono[other] == 1:
-                    witness = mono
-                    break
-        cond_i[j] = witness
+    """One pass over the lex-ordered monomials, keeping for each condition
+    the first monomial that meets it."""
+    cond_i: dict[int, Monomial] = {}
+    cond_iii: dict[int, Monomial] = {}
+    pure: dict[tuple[int, int], Monomial] = {}
+    by_third: dict[tuple[int, int], dict[int, Monomial]] = {pair: {} for pair in _PAIRS}
+    for mono in monos:
+        supp = {i for i in range(4) if mono[i]}
+        for j in range(4):
+            if j not in supp:
+                cond_iii.setdefault(j, mono)
+            elif len(supp) == 1 or (len(supp) == 2 and mono[sum(supp) - j] == 1):
+                cond_i.setdefault(j, mono)  # x_j^m, or x_j^m x_k with k = sum(supp) - j
+        for pair in _PAIRS:
+            extra = supp.difference(pair)
+            if not extra:
+                pure.setdefault(pair, mono)  # on the pair: cond (ii) and (iv)
+            elif len(extra) == 1:
+                (l,) = extra
+                if mono[l] == 1:
+                    by_third[pair].setdefault(l, mono)  # x_j^m x_k^p x_l
 
     cond_ii: dict[tuple[int, int], Optional[tuple[Monomial, ...]]] = {}
-    for j, k in _PAIRS:
-        pure = None
-        for mono, supp in zip(monos, supports):
-            if all(i in (j, k) for i in supp):
-                pure = (mono,)
-                break
-        if pure is not None:
-            cond_ii[(j, k)] = pure
-            continue
-        by_third: dict[int, Monomial] = {}
-        for mono, supp in zip(monos, supports):
-            extra = [i for i in supp if i not in (j, k)]
-            if len(extra) == 1 and mono[extra[0]] == 1 and extra[0] not in by_third:
-                by_third[extra[0]] = mono
-        if len(by_third) >= 2:
-            picked = sorted(by_third)[:2]
-            cond_ii[(j, k)] = (by_third[picked[0]], by_third[picked[1]])
+    for pair, third in by_third.items():
+        if pair in pure:
+            cond_ii[pair] = (pure[pair],)
         else:
-            cond_ii[(j, k)] = None
-
-    cond_iii: dict[int, Optional[Monomial]] = {}
-    for j in range(4):
-        cond_iii[j] = next((m for m in monos if m[j] == 0), None)
-
-    cond_iv: dict[tuple[int, int], Optional[Monomial]] = {}
-    for j, k in _PAIRS:
-        if math.gcd(w.a[j], w.a[k]) == 1:
-            continue
-        witness = None
-        for mono, supp in zip(monos, supports):
-            if all(i in (j, k) for i in supp):
-                witness = mono
-                break
-        cond_iv[(j, k)] = witness
-
-    triple = all(math.gcd(math.gcd(w.a[i], w.a[j]), w.a[l]) == 1 for i, j, l in _TRIPLES)
+            picked = tuple(third[l] for l in sorted(third)[:2])
+            cond_ii[pair] = picked if len(picked) == 2 else None
 
     return FletcherReport(
-        cond_i=cond_i,
+        cond_i={j: cond_i.get(j) for j in range(4)},
         cond_ii=cond_ii,
-        cond_iii=cond_iii,
-        cond_iv=cond_iv,
-        triple_coprime=triple,
+        cond_iii={j: cond_iii.get(j) for j in range(4)},
+        cond_iv={
+            (j, k): pure.get((j, k)) for j, k in _PAIRS if math.gcd(w.a[j], w.a[k]) > 1
+        },
+        triple_coprime=all(
+            math.gcd(math.gcd(w.a[i], w.a[j]), w.a[l]) == 1 for i, j, l in _TRIPLES
+        ),
     )
 
 
@@ -258,14 +233,18 @@ def fletcher_check(w: WeightSystem) -> FletcherReport:
 # anticanonical arithmetic
 
 
+def _index(w: WeightSystem, failure: str) -> int:
+    """The Fano index k-d; NotFanoError, ending in failure, when k <= d."""
+    if w.k <= w.d:
+        raise NotFanoError(f"k={w.k} <= d={w.d}: {failure}")
+    return w.k - w.d
+
+
 def anticanonical_data(w: WeightSystem) -> tuple[int, Fraction]:
     """Fano index k-d and anticanonical self-intersection
     d (k-d)^2 / (a0 a1 a2 a3), in lowest terms."""
-    if w.k <= w.d:
-        raise NotFanoError(f"k={w.k} <= d={w.d}: anticanonical class is not ample")
-    a0, a1, a2, a3 = w.a
-    index = w.k - w.d
-    return index, Fraction(w.d * index * index, a0 * a1 * a2 * a3)
+    index = _index(w, "anticanonical class is not ample")
+    return index, Fraction(w.d * index * index, math.prod(w.a))
 
 
 def curve_bound_check(w: WeightSystem) -> bool:
@@ -277,21 +256,19 @@ def curve_bound_check(w: WeightSystem) -> bool:
 
 
 def _delta(w: WeightSystem) -> int:
-    """Isotropy order entering rho: a3, downgraded to a2 when a3 | d."""
-    return w.a[2] if w.d % w.a[3] == 0 else w.a[3]
+    """Index i of the isotropy order delta = a_i entering rho: 3,
+    downgraded to 2 when a3 | d."""
+    return 2 if w.d % w.a[3] == 0 else 3
 
 
 def _rho_with_factor(w: WeightSystem, factor: int) -> Fraction:
-    a0, a1, a2, a3 = w.a
-    index = w.k - w.d
-    return Fraction(4 * _delta(w) * w.d * index * factor, 3 * a0 * a1 * a2 * a3)
+    index = _index(w, "rho is undefined")
+    return Fraction(4 * w.a[_delta(w)] * w.d * index * factor, 3 * math.prod(w.a))
 
 
 def rho(w: WeightSystem) -> Fraction:
     """The base criterion number; < 1 certifies a Kahler-Einstein metric
     (given the orbifold conditions and the curve bound)."""
-    if w.k <= w.d:
-        raise NotFanoError(f"k={w.k} <= d={w.d}: rho is undefined")
     return _rho_with_factor(w, w.k - w.a[0] - w.a[2])
 
 
@@ -299,8 +276,6 @@ def rho_refined(w: WeightSystem) -> Fraction:
     """Variant with (k-a1-a2) in place of (k-a0-a2).  Using it requires
     the by-hand nef verification along the curve (x0 = 0); certificates
     carry that caveat."""
-    if w.k <= w.d:
-        raise NotFanoError(f"k={w.k} <= d={w.d}: rho is undefined")
     return _rho_with_factor(w, w.k - w.a[1] - w.a[2])
 
 
@@ -324,13 +299,11 @@ class Certificate:
     anticanonical class).  rho/rho_refined are reported even when the
     orbifold conditions fail; the verdict carries the validity caveat.
 
-    line_condition_ok: a degree-d monomial supported on {x2, x3} exists,
-        so a generic member avoids the coordinate line (x0 = x1 = 0).
-        The base nef twist argument assumes that line is not on the
-        surface, so KE_CERTIFIED additionally requires this.
-    curve_check_recorded: the (x0 = 0)-curve verification for this
-        system is on file (see REFINED_CURVE_CHECKS); without it a
-        passing refined inequality leaves the verdict INCONCLUSIVE.
+    line_condition_ok: cond (ii)'s witness on (x2, x3) is a 1-tuple, a
+        degree-d monomial supported on {x2, x3}, so a generic member
+        avoids the coordinate line (x0 = x1 = 0).  The base nef twist
+        argument assumes that line is not on the surface, so
+        KE_CERTIFIED additionally requires this.
     """
 
     weights: WeightSystem
@@ -342,9 +315,19 @@ class Certificate:
     rho: Optional[Fraction]
     rho_refined: Optional[Fraction]
     delta_note: Optional[str]
-    curve_check_recorded: bool
-    refined_needs_curve_check: bool
     verdict: str
+
+    @property
+    def curve_check_recorded(self) -> bool:
+        """The (x0 = 0)-curve verification for this system is on file (see
+        REFINED_CURVE_CHECKS); without it a passing refined inequality
+        leaves the verdict INCONCLUSIVE."""
+        return (self.weights.a, self.weights.d) in REFINED_CURVE_CHECKS
+
+    @property
+    def refined_needs_curve_check(self) -> bool:
+        """The verdict is refined, so it rests on the recorded curve check."""
+        return self.verdict == KE_CERTIFIED_REFINED
 
     def to_json_dict(self) -> dict:
         w = self.weights
@@ -391,23 +374,21 @@ def certify(w: WeightSystem, allow_refined: bool = True) -> Certificate:
     rho_val: Optional[Fraction] = None
     rho_ref: Optional[Fraction] = None
     delta_note: Optional[str] = None
-    curve_recorded = (w.a, w.d) in REFINED_CURVE_CHECKS
 
     fano = w.k > w.d
     if fano:
         _, square = anticanonical_data(w)
         curve_ok = curve_bound_check(w)
-        line_ok = any(m[0] == 0 and m[1] == 0 for m in monos)
+        line_witness = fletcher.cond_ii[(2, 3)]
+        line_ok = line_witness is not None and len(line_witness) == 1
         rho_val = rho(w)
         rho_ref = rho_refined(w)
-        a3 = w.a[3]
-        if w.d % a3 == 0:
-            delta_note = (
-                f"delta=a2={w.a[2]}: a3={a3} divides d, generic member "
-                "misses the maximal-isotropy coordinate point"
-            )
-        else:
-            delta_note = f"delta=a3={a3}: a3 does not divide d"
+        i = _delta(w)
+        delta_note = f"delta=a{i}={w.a[i]}: " + (
+            f"a3={w.a[3]} divides d, generic member misses the maximal-isotropy coordinate point"
+            if i == 2
+            else "a3 does not divide d"
+        )
 
     if not fletcher.passes:
         verdict = NOT_ORBIFOLD
@@ -420,7 +401,7 @@ def certify(w: WeightSystem, allow_refined: bool = True) -> Certificate:
         base_applicable = curve_ok and line_ok and w.d >= w.a[0] + w.a[2]
         refined_applicable = (
             allow_refined
-            and curve_recorded
+            and (w.a, w.d) in REFINED_CURVE_CHECKS
             and curve_ok
             and w.d >= w.a[1] + w.a[2]
         )
@@ -441,8 +422,6 @@ def certify(w: WeightSystem, allow_refined: bool = True) -> Certificate:
         rho=rho_val,
         rho_refined=rho_ref,
         delta_note=delta_note,
-        curve_check_recorded=curve_recorded,
-        refined_needs_curve_check=(verdict == KE_CERTIFIED_REFINED),
         verdict=verdict,
     )
 
@@ -687,7 +666,7 @@ def scan(config: ScanConfig) -> ScanReport:
 
     certs = [certify(w, allow_refined=config.require_refined) for w in systems]
     entries = [c for c in certs if c.fletcher.passes]
-    entries.sort(key=lambda c: (c.rho is None, c.rho or Fraction(0), c.weights.a))
+    entries.sort(key=lambda c: (c.rho, c.weights.a))
     return ScanReport(
         config=config,
         entries=tuple(entries),

@@ -10,9 +10,9 @@ experiments.
 
 Estimates are deterministic for a fixed seed: sampling is partitioned
 into fixed-size chunks with per-chunk seeds derived by SeedSequence
-spawning.  The chunks run on min(workers, LCT_THREADS) threads (1 by
-default, which is the calling thread), and the merged counts are
-independent of chunk scheduling.
+spawning.  The chunks run on min(workers, LCT_THREADS, CPU count)
+threads (1 by default, which is the calling thread), and the merged
+counts are independent of chunk scheduling.
 One common sample set is counted against every radius of a fit grid
 (common random numbers), which makes the volume curve exactly monotone
 in r and keeps the fitted slope variance small.
@@ -45,7 +45,8 @@ _CHUNK = 1 << 17  # samples per chunk; fixed so results never depend on worker c
 
 
 def _worker_count(requested: Optional[int]) -> int:
-    """Effective worker count: requested (default 1), capped by LCT_THREADS."""
+    """Effective worker count: requested (default 1), capped by LCT_THREADS
+    and by the CPU count."""
     workers = 1 if requested is None else int(requested)
     if workers < 1:
         raise InvalidInputError("workers must be >= 1")
@@ -58,7 +59,7 @@ def _worker_count(requested: Optional[int]) -> int:
         if cap_n < 1:
             raise InvalidInputError(f"LCT_THREADS must be a positive integer, got {cap!r}")
         workers = min(workers, cap_n)
-    return workers
+    return min(workers, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +137,13 @@ def _evaluator(spec: MonomialIdealSpec) -> Callable[[np.ndarray], np.ndarray]:
     on interleaved coordinates, built by recursion over the spec."""
     if isinstance(spec, PrincipalMonomial):
         alpha = np.asarray(spec.exponents, dtype=float)
+        unused = alpha == 0
 
         def monomial(coords: np.ndarray) -> np.ndarray:
             sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
+            # log 1 = 0: a vanishing coordinate of exponent 0 adds nothing,
+            # where 0 * log 0 would make the sum NaN
+            sq[:, unused] = 1.0
             with np.errstate(divide="ignore"):
                 return 0.5 * (np.log(sq) @ alpha)
 

@@ -4,6 +4,8 @@ and determinism of the sampled subcommands."""
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lctkit import cli
 from lctkit.errors import InternalError
@@ -366,6 +368,52 @@ def test_config_file_errors(capsys, tmp_path):
     rc, _, err = run(capsys, "lct", "--spec", "diag:2", "--config", str(bad))
     assert rc == 1
     assert "key=value" in err
+
+
+# no "/" so that an out= or resolution= value names a file in the working
+# directory; no surrogates, which cannot be written to the file
+_config_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/"))
+_config_lines = st.one_of(
+    st.tuples(
+        st.sampled_from(["out", "format", "spec", "resolution", "config", "refined"])
+        | _config_text,
+        st.sampled_from(["true", "false", "json", "csv", "text", "."]) | _config_text,
+    ).map("=".join),
+    _config_text,
+)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_config_lines, max_size=6))
+def test_config_file_fuzz_exits_0_or_1(tmp_path, monkeypatch, lines):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text("\n".join(lines), encoding="utf-8")
+    assert cli.run(["lct", "--spec", "diag:2", "--config", str(cfg)]) in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--spec", "diag:2", "--config", "bad\x00.cfg"],
+        ["--resolution", "bad\x00.json"],
+        ["--spec", "diag:2", "--out", "bad\x00.json"],
+    ],
+    ids=["config", "resolution", "out"],
+)
+def test_nul_in_a_path_exits_1(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run(capsys, "lct", *argv)
+    assert rc == 1
+    assert err.startswith("error: cannot")
+
+
+def test_config_file_that_is_not_text_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe=1\n")
+    rc, _, err = run(capsys, "lct", "--spec", "diag:2", "--config", str(cfg))
+    assert rc == 1
+    assert err.startswith("error:")
 
 
 def test_out_writes_payload(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Weighted hypersurface certifier: monomial enumeration, orbifold
 conditions, the rho inequalities, verdicts, and the box scan."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -8,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lctkit import (
     INCONCLUSIVE,
@@ -426,6 +429,45 @@ def test_certificate_json():
     not_fano = certify(WeightSystem((1, 1, 1, 1), 4)).to_json_dict()
     assert not_fano["rho"] is None
     assert not_fano["rho_float"] is None
+
+
+def _pinned_systems():
+    """Every a0 <= a1 <= a2 <= a3 <= 12 at d = k - idx, idx in (-2, 0, 1, 2, 3),
+    d >= 1, then the three named systems."""
+    for a in itertools.combinations_with_replacement(range(1, 13), 4):
+        for idx in (-2, 0, 1, 2, 3):
+            if sum(a) - idx >= 1:
+                yield WeightSystem(a, sum(a) - idx)
+    yield from (W3, W1, W2)
+
+
+def test_certificate_bytes_are_pinned():
+    # digest of the certificates as first recorded; any change to a
+    # witness, verdict or field of these 6828 systems changes it
+    lines = [certify(w).to_json() for w in _pinned_systems()]
+    assert len(lines) == 6828
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f9e575e3678c6885988ea4bae4c6f732091b5710a37b2a4cdf1f8ef00f0f5d1e"
+
+
+fano_systems = (
+    st.lists(st.integers(1, 30), min_size=4, max_size=4)
+    .map(lambda a: tuple(sorted(a)))
+    .flatmap(lambda a: st.builds(WeightSystem, st.just(a), st.integers(1, sum(a) - 1)))
+)
+
+
+@given(fano_systems)
+def test_line_condition_and_cond_iv_read_cond_ii_pair_witnesses(w):
+    monos = weighted_monomials(w)
+    cert = certify(w)
+    assert cert.line_condition_ok == any(m[0] == m[1] == 0 for m in monos)
+    for (j, k), m in cert.fletcher.cond_iv.items():
+        on_pair = [x for x in monos if all(x[i] == 0 for i in range(4) if i not in (j, k))]
+        # the first monomial supported on the pair, and cond (ii)'s 1-tuple
+        assert m == (on_pair[0] if on_pair else None)
+        if m is not None:
+            assert cert.fletcher.cond_ii[(j, k)] == (m,)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lctkit
+from lctkit import volume
 from lctkit import (
     Diagonal,
     DirectSum,
@@ -106,6 +108,20 @@ def test_thread_cap_env_must_be_integer(monkeypatch, cap):
         estimate_sublevel_volume(monomial_potential([1]), 0.3, samples=1000, seed=SEED)
 
 
+def test_worker_count_is_capped_by_the_cpu_count(monkeypatch):
+    # the count is computed only; no sampling, so no thread is started
+    monkeypatch.delenv("LCT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert volume._worker_count(100_000) == 3
+    assert volume._worker_count(2) == 2
+    assert volume._worker_count(None) == 1
+    monkeypatch.setenv("LCT_THREADS", "2")
+    assert volume._worker_count(100_000) == 2
+    monkeypatch.delenv("LCT_THREADS")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+    assert volume._worker_count(100_000) == 1
+
+
 def test_different_seeds_differ():
     p = monomial_potential([1])
     a, _ = estimate_sublevel_volume(p, 0.3, samples=50_000, seed=1)
@@ -167,6 +183,16 @@ def test_monomial_potential_matches_closed_form():
     z = coords[:, 0::2] + 1j * coords[:, 1::2]
     expected = 2 * np.log(np.abs(z[:, 0])) + np.log(np.abs(z[:, 2]))
     np.testing.assert_allclose(p.evaluator(coords), expected, rtol=1e-12)
+
+
+def test_monomial_potential_at_a_vanishing_coordinate_of_exponent_0():
+    # z = (0.5, 0, 0.5) on z0 z2^2: the zero coordinate has exponent 0
+    p = potential_from_spec(parse_spec("mono:1,0,2"))
+    coords = np.array([[0.5, 0.0, 0.0, 0.0, 0.5, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = p.evaluator(coords)
+    assert value[0] == pytest.approx(3 * math.log(0.5), rel=1e-15)
 
 
 def test_diagonal_potential_matches_closed_form():
