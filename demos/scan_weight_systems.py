@@ -2,10 +2,13 @@
 
 The scan never builds the box.  Fletcher's condition (i) for x3 allows
 only a few values of a3 for each triple a0 <= a1 <= a2, so it visits
-about 441 thousand of the box's 11 million systems.  A vectorized
-integer prefilter then throws away almost all of those, and the exact
-certifier sees only a handful, so the box takes well under a second on
-one core.  "examined" still counts every system of the box.
+about 441 thousand of the box's 11 million systems.  The prefilter then
+runs in two stages: condition (i) for x0, x1, x2, vectorized over all of
+those, and then, on each of the 938 left, triple coprimality and
+conditions (ii)/(iv), each a closed-form test of whether a degree is
+m*a + p*b.  The exact certifier sees only a handful, so the box takes
+well under a second on one core.  "examined" still counts every system
+of the box.
 """
 
 import time

@@ -23,6 +23,7 @@ its norm integral diverges, so k_min = mc exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -83,6 +84,8 @@ def build_approx(w: RadialWeight, m: int, k_max: Union[int, None] = None) -> Ber
         w = RadialWeight(w)
     require_int(m, 1, "m must be a positive integer")
     k_min = minimal_degree(w, m)
+    if k_min > sys.float_info.max:  # floor(m*c)
+        raise InvalidInputError(f"m*c must fit a float, at most {sys.float_info.max:.4g}")
     if k_max is None:
         k_max = k_min + DEFAULT_TABLE_MARGIN
     require_int(k_max, None, "k_max must be an integer")

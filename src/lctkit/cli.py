@@ -341,12 +341,7 @@ def _cmd_fano_scan(args: argparse.Namespace) -> str:
     if args.format == "json":
         return _dumps(
             {
-                "config": {
-                    "max_a3": config.max_a3,
-                    "fano_index": config.fano_index,
-                    "min_a0": config.min_a0,
-                    "require_refined": config.require_refined,
-                },
+                "config": vars(config),
                 "examined": report.examined,
                 "prefilter_survivors": report.prefilter_survivors,
                 "entries": [c.to_json_dict() for c in report.entries],

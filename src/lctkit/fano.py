@@ -19,11 +19,11 @@ systems whose curve verification is recorded in
 :data:`REFINED_CURVE_CHECKS` (the inequality alone proves nothing).
 
 Everything is exact integer/rational arithmetic; floats appear only in
-display renderings.  The scan over weight boxes enumerates only the
-systems that satisfy cond (i) for x3 (solving it for a3), runs a
-vectorized arithmetic prefilter on them (necessary conditions only) and
-re-checks every surviving system exactly, so neither step can change
-the result.
+display renderings.  A box scan builds only the systems that satisfy
+cond (i) for x3 (solving it for a3) and prefilters them in two stages:
+cond (i) for x0, x1, x2 vectorized over all of them, then triple
+coprimality and cond (ii)/(iv) by closed-form pair tests on each system
+left.  Survivors are re-checked exactly, so no stage changes the result.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -180,6 +180,11 @@ class FletcherReport:
         }
 
 
+def _triple_coprime(a: Sequence[int]) -> bool:
+    """No three of the four weights share a common factor."""
+    return all(math.gcd(a[i], a[j], a[l]) == 1 for i, j, l in _TRIPLES)
+
+
 def _fletcher_from(w: WeightSystem, monos: list[Monomial]) -> FletcherReport:
     """One pass over the lex-ordered monomials, keeping for each condition
     the first monomial that meets it."""
@@ -218,9 +223,7 @@ def _fletcher_from(w: WeightSystem, monos: list[Monomial]) -> FletcherReport:
         cond_iv={
             (j, k): pure.get((j, k)) for j, k in _PAIRS if math.gcd(w.a[j], w.a[k]) > 1
         },
-        triple_coprime=all(
-            math.gcd(math.gcd(w.a[i], w.a[j]), w.a[l]) == 1 for i, j, l in _TRIPLES
-        ),
+        triple_coprime=_triple_coprime(w.a),
     )
 
 
@@ -579,73 +582,60 @@ def _box_arrays(
     return a0[rows], a1[rows], a2[rows], a3.astype(np.int32)
 
 
-def _pair_representable(target: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """Vectorized: is target = m*wa + p*wb solvable with m, p >= 0?"""
-    rep = np.zeros(target.shape, dtype=bool)
-    m = 0
-    while True:
-        t = target - m * wa
-        active = t >= 0
-        if not active.any():
-            return rep
-        rep |= active & (t % wb == 0)
-        m += 1
+def _representable(t: int, a: int, b: int) -> bool:
+    """Is t = m*a + p*b with m, p >= 0?  After dividing out gcd(a, b), the
+    least m >= 0 with b | t - m*a is t * a^-1 mod b; it must have m*a <= t."""
+    g = math.gcd(a, b)
+    if t % g:
+        return False
+    t, a, b = t // g, a // g, b // g
+    return t >= a * (t * pow(a, -1, b) % b)
 
 
-def _prefilter(config: ScanConfig) -> tuple[np.ndarray, ...]:
-    """Necessary conditions, vectorized over the candidates of
-    :func:`_box_arrays`, one block of a0 values at a time: cond (i) for
-    x0, x1, x2, triple coprimality, cond (ii)/(iv) for every pair.
-    Sound pruning only; survivors still get the exact check.
-    Returns the a0..a3 and d columns in lexicographic order."""
-    blocks = [
-        _prefilter_block(_box_arrays(config, block), config.fano_index)
-        for block in _a0_blocks(config)
-    ]
-    return tuple(np.concatenate(col) for col in zip(*blocks))
+def _pairs_ok(a: Sequence[int], d: int) -> bool:
+    """Triple coprimality and Fletcher's cond (ii)/(iv), as fletcher_check
+    decides them: for each pair j < k, a degree-d monomial on {x_j, x_k},
+    or, when gcd(a_j, a_k) = 1, x_j^m x_k^p x_l of degree d for both other l."""
+    return _triple_coprime(a) and all(
+        _representable(d, a[j], a[k])
+        or (
+            math.gcd(a[j], a[k]) == 1
+            and all(_representable(d - a[l], a[j], a[k]) for l in {0, 1, 2, 3} - {j, k})
+        )
+        for j, k in _PAIRS
+    )
 
 
-def _prefilter_block(cols: tuple[np.ndarray, ...], fano_index: int) -> tuple[np.ndarray, ...]:
-    a0, a1, a2, a3 = cols
-    # int32 is safe throughout: weights <= max_a3 and degrees <= 4*max_a3
-    d = (a0 + a1 + a2 + a3 - np.int32(fano_index)).astype(np.int32)
+def _prefilter(config: ScanConfig) -> list[tuple[tuple[int, int, int, int], int]]:
+    """Necessary conditions on the candidates of :func:`_box_arrays`, one
+    block of a0 values at a time: cond (i) for x0, x1, x2, vectorized over
+    the many candidates, then :func:`_pairs_ok` on each of the few left.
+    Sound pruning only; survivors still get the exact check.  Returns
+    (weights, d) rows in lexicographic order."""
+    rows = []
+    for block in _a0_blocks(config):
+        cols = _box_arrays(config, block)
+        # int32 is safe throughout: weights <= max_a3 and degrees <= 4*max_a3
+        d = cols[0] + cols[1] + cols[2] + cols[3] - np.int32(config.fano_index)
 
-    # cond (i): some x_j^m (m>=1) or x_j^m x_k (m>=1) reaches degree d.
-    # Every row of _box_arrays meets it for x3 and has d = s + a3 >= 1
-    # (s = a0 + a1 + a2 - index): an exact row has s >= r >= a2 >= 1, a
-    # free row s >= 0 and a3 >= 1.  So neither d > 0 nor j = 3 is checked.
-    keep = np.ones(d.size, dtype=bool)
-    for j in range(3):
-        ok = (d % cols[j] == 0) & (d >= cols[j])
-        for k in range(4):
-            if k == j:
-                continue
-            t = d - cols[k]
-            ok |= (t >= cols[j]) & (t % cols[j] == 0)
-        keep &= ok
+        # cond (i): some x_j^m (m>=1) or x_j^m x_k (m>=1) reaches degree d.
+        # Every row of _box_arrays meets it for x3 and has d = s + a3 >= 1
+        # (s = a0 + a1 + a2 - index): an exact row has s >= r >= a2 >= 1, a
+        # free row s >= 0 and a3 >= 1.  So neither d > 0 nor j = 3 is checked.
+        keep = np.ones(d.size, dtype=bool)
+        for j in range(3):
+            ok = (d % cols[j] == 0) & (d >= cols[j])
+            for k in range(4):
+                if k == j:
+                    continue
+                t = d - cols[k]
+                ok |= (t >= cols[j]) & (t % cols[j] == 0)
+            keep &= ok
 
-    idx = np.flatnonzero(keep)
-    a0s, a1s, a2s, a3s, ds = (c[idx] for c in (*cols, d))
-
-    # triple coprimality, then cond (ii) and (iv) exactly, on the reduced set
-    weights = (a0s, a1s, a2s, a3s)
-    keep2 = np.ones(idx.size, dtype=bool)
-    for i, j, l in _TRIPLES:
-        keep2 &= np.gcd(np.gcd(weights[i], weights[j]), weights[l]) == 1
-    for j, k in _PAIRS:
-        pair_rep = _pair_representable(ds, weights[j], weights[k])
-        others = [i for i in range(4) if i not in (j, k)]
-        third = np.zeros(idx.size, dtype=np.int64)
-        for l in others:
-            tl = ds - weights[l]
-            okl = (tl >= 0) & _pair_representable(np.maximum(tl, 0), weights[j], weights[k])
-            third += okl.astype(np.int64)
-        cond_ii = pair_rep | (third >= 2)
-        noncoprime = np.gcd(weights[j], weights[k]) > 1
-        cond_iv = ~noncoprime | pair_rep
-        keep2 &= cond_ii & cond_iv
-
-    return a0s[keep2], a1s[keep2], a2s[keep2], a3s[keep2], ds[keep2]
+        for *a, dd in zip(*(c[keep].tolist() for c in (*cols, d))):
+            if _pairs_ok(a, dd):
+                rows.append((tuple(a), dd))
+    return rows
 
 
 def scan(config: ScanConfig) -> ScanReport:
@@ -658,18 +648,13 @@ def scan(config: ScanConfig) -> ScanReport:
     """
     # d = k - index <= 4 max_a3 - index, so an index of 4 max_a3 or more
     # leaves no system with d > 0 (and need not fit in int32 columns)
-    columns = _prefilter(config) if config.fano_index < 4 * config.max_a3 else ()
-    systems = [
-        WeightSystem((int(w0), int(w1), int(w2), int(w3)), int(dd))
-        for w0, w1, w2, w3, dd in zip(*columns)
-    ]
-
-    certs = [certify(w, allow_refined=config.require_refined) for w in systems]
+    rows = _prefilter(config) if config.fano_index < 4 * config.max_a3 else []
+    certs = [certify(WeightSystem(a, d), allow_refined=config.require_refined) for a, d in rows]
     entries = [c for c in certs if c.fletcher.passes]
     entries.sort(key=lambda c: (c.rho, c.weights.a))
     return ScanReport(
         config=config,
         entries=tuple(entries),
         examined=config.box_systems,
-        prefilter_survivors=len(systems),
+        prefilter_survivors=len(rows),
     )

@@ -43,6 +43,10 @@ DEFAULT_SEED = 1414213562
 
 _CHUNK = 1 << 17  # samples per chunk; fixed so results never depend on worker count
 
+# Bytes a chunk's grid comparison (1 per sample and radius) and coordinates
+# (16 per sample and variable) may take; 12 radii in 2 variables take 5.5 MiB.
+_CHUNK_BYTES = 1 << 27
+
 
 def _worker_count(requested: Optional[int]) -> int:
     """Effective worker count: requested (default 1), capped by LCT_THREADS
@@ -223,6 +227,17 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
 # sampling core
 
 
+def _require_chunk_budget(p: SampledPotential, grid_size: int) -> None:
+    """Refuse, before any draw, a grid whose chunk would pass _CHUNK_BYTES."""
+    if not isinstance(p, SampledPotential):
+        raise InvalidInputError("expected a SampledPotential")
+    if _CHUNK * (grid_size + 16 * p.dimension) > _CHUNK_BYTES:
+        raise InvalidInputError(
+            f"{grid_size} radii in dimension {p.dimension} need over "
+            f"{_CHUNK_BYTES >> 20} MiB per {_CHUNK}-sample chunk"
+        )
+
+
 def _sample_volumes(
     p: SampledPotential,
     log_thresholds: np.ndarray,
@@ -237,8 +252,7 @@ def _sample_volumes(
     boundaries depend only on the sample count, chunk seeds only on the
     root seed and chunk index, and the merge is an integer sum.
     """
-    if not isinstance(p, SampledPotential):
-        raise InvalidInputError("expected a SampledPotential")
+    _require_chunk_budget(p, log_thresholds.size)
     require_int(samples, 1000, "need at least 1000 samples")
     require_int(seed, 0, "seed must be a nonnegative integer")
     sizes = [_CHUNK] * (samples // _CHUNK)
@@ -394,6 +408,7 @@ def fit_exponent(
     if not (0.0 < r_min < r_max < 1.0):
         raise InvalidInputError("need 0 < r_min < r_max < 1")
     require_int(grid_size, 4, "grid_size must be an integer >= 4")
+    _require_chunk_budget(p, grid_size)
 
     radii = np.geomspace(r_max, r_min, grid_size)
     counts, volumes, std_errors = _sample_volumes(p, np.log(radii), samples, seed, workers)

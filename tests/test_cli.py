@@ -2,6 +2,7 @@
 and determinism of the sampled subcommands."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -127,6 +128,23 @@ def test_volume_fit_json(capsys):
     assert out == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
+def test_volume_fit_grid_over_the_chunk_budget_exits_1(capsys):
+    # a 2^17 x 100000 comparison per chunk would be about 13 GB; it is
+    # refused before the radius grid or any sample is allocated
+    cli.run(["lct", "--spec", "mono:1"])  # build the cached parser first
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "volume-fit", "--spec", "mono:2,1", "--grid", "100000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert out == ""
+    assert "MiB per 131072-sample chunk" in err
+    assert peak < 1 << 18  # the radius grid alone would take 800 kB
+
+
 def test_volume_fit_deterministic(capsys, monkeypatch):
     args = ("volume-fit", "--spec", "diag:2,3", *FAST_FIT)
     _, first, _ = run(capsys, *args)
@@ -208,6 +226,20 @@ def test_bergman_invalid_inputs(capsys):
     assert run(capsys, "bergman", "--c", "3/4", "--m", "0")[0] == 1
     assert run(capsys, "bergman", "--c", "3/4", "--m", "2", "--eval", "1.5")[0] == 1
     assert run(capsys, "bergman", "--c", "x", "--m", "2")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--c", "1e400", "--m", "1"),
+        ("--c", "1e300", "--m", "10000000000", "--eval", "0.5"),
+    ],
+)
+def test_bergman_m_times_c_beyond_float_range_exits_1(capsys, argv):
+    rc, out, err = run(capsys, "bergman", *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: m*c must fit a float")
 
 
 # ---------------------------------------------------------------------------

@@ -546,7 +546,32 @@ def test_prefilter_does_not_depend_on_the_block_size(monkeypatch):
     assert [lo for lo, _ in blocks] == [1] + [hi + 1 for _, hi in blocks[:-1]]
     assert blocks[-1][1] == 40
     split = fano._prefilter(config)
-    assert all(a.tolist() == b.tolist() for a, b in zip(whole, split))
+    assert whole == split
+
+
+def test_prefilter_is_cond_i_ii_iv_and_triple_coprimality_on_the_box_arrays():
+    for max_a3, min_a0, index in itertools.product((12, 24), (1, 2, 3), range(1, 6)):
+        config = ScanConfig(max_a3=max_a3, fano_index=index, min_a0=min_a0)
+        expected = []
+        for a in zip(*(col.tolist() for col in fano._box_arrays(config))):
+            d = sum(a) - index  # >= 1 on every row of _box_arrays
+            report = fletcher_check(WeightSystem(a, d))
+            if (
+                report.cond_i_ok
+                and report.cond_ii_ok
+                and report.cond_iv_ok
+                and report.triple_coprime
+            ):
+                expected.append((a, d))
+        assert fano._prefilter(config) == expected, (max_a3, min_a0, index)
+
+
+def test_representable_matches_brute_force():
+    for a in range(1, 41):
+        for b in range(1, 41):
+            sums = {m * a + p * b for m in range(301 // a + 1) for p in range(301 // b + 1)}
+            for t in range(-5, 301):
+                assert fano._representable(t, a, b) == (t in sums), (t, a, b)
 
 
 def test_scan_prefilter_survivor_goldens():

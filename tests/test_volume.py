@@ -151,6 +151,24 @@ def test_estimate_argument_errors():
         estimate_sublevel_volume("not a potential", 0.5, samples=1000)
 
 
+def test_chunk_budget_is_checked_before_any_draw():
+    calls = []
+
+    def evaluator(coords):
+        calls.append(coords.shape)
+        return np.zeros(coords.shape[0])
+
+    # 2^17 samples x (1 radius + 16 bytes x 64 variables) passes 128 MiB
+    with pytest.raises(InvalidInputError, match="MiB"):
+        estimate_sublevel_volume(SampledPotential(evaluator, 64), 0.5, samples=1000)
+    with pytest.raises(InvalidInputError, match="MiB"):
+        fit_exponent(SampledPotential(evaluator, 2), grid_size=993, samples=1000)
+    assert calls == []
+    # 992 radii + 16 x 2 variables is exactly the budget
+    volume._require_chunk_budget(SampledPotential(evaluator, 2), 992)
+    volume._require_chunk_budget(SampledPotential(evaluator, 63), 1)
+
+
 def test_potential_validation():
     with pytest.raises(InvalidInputError):
         SampledPotential(lambda c: c, 0)
