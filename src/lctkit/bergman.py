@@ -83,6 +83,8 @@ def build_approx(w: RadialWeight, m: int, k_max: Union[int, None] = None) -> Ber
     if not isinstance(w, RadialWeight):
         w = RadialWeight(w)
     require_int(m, 1, "m must be a positive integer")
+    if 2 * m > sys.float_info.max:  # psi_m divides by 2m
+        raise InvalidInputError(f"2*m must fit a float, at most {sys.float_info.max:.4g}")
     k_min = minimal_degree(w, m)
     if k_min > sys.float_info.max:  # floor(m*c)
         raise InvalidInputError(f"m*c must fit a float, at most {sys.float_info.max:.4g}")
@@ -105,16 +107,18 @@ def _log_series(ap: BergmanApprox, z_abs: float) -> tuple[float, float]:
     """log of the truncated series sum sigma_k z^{2k}, split as
     (k_min * log x, log of the shifted polynomial part), x = z_abs^2.
 
-    The split keeps tiny |z| exact in log space instead of underflowing.
+    The split keeps tiny |z| exact in log space instead of underflowing;
+    below the normal floats x is too coarse, so log x is 2 log z_abs there.
     """
     x = z_abs * z_abs
+    log_x = math.log(x) if x >= sys.float_info.min else 2.0 * math.log(z_abs)
     powers = []
     xj = 1.0
     for coeff in ap.pi_sigma:
         powers.append(float(coeff) * xj)
         xj *= x
     poly = math.fsum(powers) / math.pi
-    return ap.k_min * math.log(x), math.log(poly)
+    return ap.k_min * log_x, math.log(poly)
 
 
 def eval_psi_m(ap: BergmanApprox, z_abs: float) -> float:

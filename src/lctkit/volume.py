@@ -16,6 +16,12 @@ counts are independent of chunk scheduling.
 One common sample set is counted against every radius of a fit grid
 (common random numbers), which makes the volume curve exactly monotone
 in r and keeps the fitted slope variance small.
+
+Potentials of the moduli alone (principal monomials, diagonal ideals and
+direct sums of those) are evaluated from the squared moduli R_i^2 u_i:
+sampling draws only the radii and neither the angles nor coordinates.
+The u_i are each chunk's first draws on either path, so the samples and
+the counts are the same as through the coordinate evaluator.
 """
 
 from __future__ import annotations
@@ -43,9 +49,14 @@ DEFAULT_SEED = 1414213562
 
 _CHUNK = 1 << 17  # samples per chunk; fixed so results never depend on worker count
 
-# Bytes a chunk's grid comparison (1 per sample and radius) and coordinates
-# (16 per sample and variable) may take; 12 radii in 2 variables take 5.5 MiB.
+# Bytes a chunk's grid comparison (1 per sample and radius, as a broadcast
+# compare takes) and coordinates (16 per sample and variable) may take; 12
+# radii in 2 variables take 5.5 MiB.
 _CHUNK_BYTES = 1 << 27
+
+# Chunks one sampling call may spawn seeds for, 2^32 samples: every chunk
+# holds a list entry and a SeedSequence (about 450 bytes) from the start.
+_MAX_CHUNKS = 1 << 15
 
 
 def _worker_count(requested: Optional[int]) -> int:
@@ -78,16 +89,23 @@ class SampledPotential:
     coordinates (Re z1, Im z1, ..., Re zn, Im zn) to an (N,) array of
     phi values; -inf is allowed (log of a vanishing modulus).  It must
     be deterministic and total on the closed polydisk.
+
+    ``moduli``, if given, is the same phi as a function of the (N, n)
+    array of squared moduli |z_i|^2; it must not modify its argument.
+    Sampling then draws only the radii and builds no coordinates.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     dimension: int
     radius: tuple[float, ...] = (1.0,)
+    moduli: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         require_int(self.dimension, 1, "dimension must be a positive integer")
         if not callable(self.evaluator):
             raise InvalidInputError("evaluator must be callable")
+        if self.moduli is not None and not callable(self.moduli):
+            raise InvalidInputError("moduli must be callable or None")
         r = self.radius
         r = tuple(float(x) for x in ((r,) if isinstance(r, (int, float)) else r))
         if len(r) == 1:
@@ -136,18 +154,19 @@ def _complex_function(spec: MonomialIdealSpec, offset: int) -> Callable[[np.ndar
     )
 
 
-def _evaluator(spec: MonomialIdealSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The evaluator of a spec's potential (see :func:`potential_from_spec`)
-    on interleaved coordinates, built by recursion over the spec."""
+def _moduli_function(spec: MonomialIdealSpec) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """The potential of a spec as a function of the (N, n) squared moduli,
+    for principal monomials, diagonal ideals and direct sums of those;
+    None for specs whose potential also depends on the angles."""
     if isinstance(spec, PrincipalMonomial):
         alpha = np.asarray(spec.exponents, dtype=float)
         unused = alpha == 0
 
-        def monomial(coords: np.ndarray) -> np.ndarray:
-            sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
-            # log 1 = 0: a vanishing coordinate of exponent 0 adds nothing,
-            # where 0 * log 0 would make the sum NaN
-            sq[:, unused] = 1.0
+        def monomial(sq: np.ndarray) -> np.ndarray:
+            if unused.any():
+                # log 1 = 0: a vanishing coordinate of exponent 0 adds nothing,
+                # where 0 * log 0 would make the sum NaN
+                sq = np.where(unused, 1.0, sq)
             with np.errstate(divide="ignore"):
                 return 0.5 * (np.log(sq) @ alpha)
 
@@ -155,12 +174,30 @@ def _evaluator(spec: MonomialIdealSpec) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(spec, Diagonal):
         half = np.asarray(spec.orders, dtype=float) / 2.0
 
-        def diagonal(coords: np.ndarray) -> np.ndarray:
-            sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
+        def diagonal(sq: np.ndarray) -> np.ndarray:
             with np.errstate(divide="ignore"):
                 return np.log(np.sum(sq**half, axis=1))
 
         return diagonal
+    if isinstance(spec, DirectSum):
+        left, right = _moduli_function(spec.left), _moduli_function(spec.right)
+        if left is None or right is None:
+            return None
+        k = spec.left.nvars
+        # contiguous blocks, as each block's own evaluator made them: numpy
+        # may run other SIMD loops on strided data
+        return lambda sq: np.logaddexp(
+            left(np.ascontiguousarray(sq[:, :k])), right(np.ascontiguousarray(sq[:, k:]))
+        )
+    return None
+
+
+def _evaluator(spec: MonomialIdealSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluator of a spec's potential (see :func:`potential_from_spec`)
+    on interleaved coordinates, built by recursion over the spec."""
+    moduli = _moduli_function(spec)
+    if moduli is not None:
+        return lambda coords: moduli(coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2)
     if isinstance(spec, DirectSum):
         left, right = _evaluator(spec.left), _evaluator(spec.right)
         off = 2 * spec.left.nvars
@@ -184,8 +221,10 @@ def potential_from_spec(
     Principal monomials become sum alpha_i log|z_i| and separated sums
     log|f|; diagonal ideals become log sum |z_i|^{m_i}; direct sums
     combine via logaddexp (the max-equivalent potential of an ideal sum).
+    The potentials of principal monomials, diagonal ideals and their direct
+    sums depend only on the moduli and carry that form as ``moduli``.
     """
-    return SampledPotential(_evaluator(spec), spec.nvars, radius)
+    return SampledPotential(_evaluator(spec), spec.nvars, radius, _moduli_function(spec))
 
 
 def monomial_potential(
@@ -238,6 +277,20 @@ def _require_chunk_budget(p: SampledPotential, grid_size: int) -> None:
         )
 
 
+def _count_below(phi: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Per threshold, the number of phi values strictly below it, as
+    ``(phi[:, None] < thresholds[None, :]).sum(axis=0)`` counts them for
+    thresholds that are not NaN.  Each phi value lands in the slot of the
+    sorted thresholds it is below first, and the running sum of the slot
+    sizes is mapped back to the thresholds' order."""
+    order = np.argsort(thresholds, kind="stable")
+    slots = np.searchsorted(thresholds[order], phi, side="right")
+    below = np.cumsum(np.bincount(slots, minlength=order.size + 1)[:-1], dtype=np.int64)
+    counts = np.empty_like(below)
+    counts[order] = below
+    return counts
+
+
 def _sample_volumes(
     p: SampledPotential,
     log_thresholds: np.ndarray,
@@ -255,6 +308,8 @@ def _sample_volumes(
     _require_chunk_budget(p, log_thresholds.size)
     require_int(samples, 1000, "need at least 1000 samples")
     require_int(seed, 0, "seed must be a nonnegative integer")
+    if -(-samples // _CHUNK) > _MAX_CHUNKS:
+        raise InvalidInputError(f"samples must be at most {_MAX_CHUNKS * _CHUNK}")
     sizes = [_CHUNK] * (samples // _CHUNK)
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
@@ -264,19 +319,26 @@ def _sample_volumes(
 
     def one_chunk(i: int) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(children[i]))
-        # area-uniform radius on each disk; u is drawn before v, and each
-        # is freed at once, which keeps a chunk's temporaries small
-        rad = radius * np.sqrt(rng.random((sizes[i], n)))
-        ang = (2.0 * np.pi) * rng.random((sizes[i], n))
-        coords = np.empty((sizes[i], 2 * n))
-        coords[:, 0::2] = rad * np.cos(ang)
-        coords[:, 1::2] = rad * np.sin(ang)
-        phi = np.asarray(p.evaluator(coords), dtype=float)
+        # area-uniform on each disk: |z|^2 = R^2 u with u uniform, drawn
+        # before the angles v; a potential of the moduli needs no angles
+        u = rng.random((sizes[i], n))
+        if p.moduli is not None:
+            u *= radius * radius
+            phi = p.moduli(u)
+        else:
+            rad = np.sqrt(u, out=u)
+            rad *= radius
+            ang = (2.0 * np.pi) * rng.random((sizes[i], n))
+            coords = np.empty((sizes[i], 2 * n))
+            coords[:, 0::2] = rad * np.cos(ang)
+            coords[:, 1::2] = rad * np.sin(ang)
+            phi = p.evaluator(coords)
+        phi = np.asarray(phi, dtype=float)
         if phi.shape != (sizes[i],):
             raise InvalidInputError(
                 f"evaluator returned shape {phi.shape}, expected ({sizes[i]},)"
             )
-        return (phi[:, None] < log_thresholds[None, :]).sum(axis=0, dtype=np.int64)
+        return _count_below(phi, log_thresholds)
 
     chunks = range(len(sizes))
     nworkers = min(_worker_count(workers), len(sizes))

@@ -2,6 +2,7 @@
 and determinism of the sampled subcommands."""
 
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -145,6 +146,23 @@ def test_volume_fit_grid_over_the_chunk_budget_exits_1(capsys):
     assert peak < 1 << 18  # the radius grid alone would take 800 kB
 
 
+def test_volume_fit_samples_over_the_chunk_limit_exits_1(capsys):
+    # 10^12 samples are about 7.6M chunks: their seeds alone would take
+    # about 3.4 GB, so the count is refused before any seed is spawned
+    cli.run(["lct", "--spec", "mono:1"])  # build the cached parser first
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "volume-fit", "--spec", "mono:2,1", "--samples", "1000000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: samples must be at most")
+    assert peak < 1 << 18
+
+
 def test_volume_fit_deterministic(capsys, monkeypatch):
     args = ("volume-fit", "--spec", "diag:2,3", *FAST_FIT)
     _, first, _ = run(capsys, *args)
@@ -240,6 +258,25 @@ def test_bergman_m_times_c_beyond_float_range_exits_1(capsys, argv):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: m*c must fit a float")
+
+
+def test_bergman_m_beyond_float_range_exits_1(capsys):
+    # m*c = 0 fits, but psi_m divides by 2m
+    rc, out, err = run(capsys, "bergman", "--c", "0", "--m", "1" + "0" * 400, "--eval", "0.5")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: 2*m must fit a float")
+
+
+def test_bergman_eval_where_the_squared_modulus_underflows(capsys):
+    # |z|^2 = 1e-400 is below the smallest float; log|z|^2 is 2 log|z|
+    rc, out, _ = run(capsys, "bergman", "--c", "1", "--m", "1", "--eval", "1e-200")
+    assert rc == 0
+    block = json.loads(out)["eval"]
+    assert math.isfinite(block["psi_m"])
+    # psi_1 = (1/2) log(|z|^2 / pi + ...) and the higher terms vanish
+    assert block["psi_m"] == pytest.approx(-200 * math.log(10) - 0.5 * math.log(math.pi))
+    assert block["pointwise_bound_ok"] is True
 
 
 # ---------------------------------------------------------------------------

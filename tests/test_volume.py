@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lctkit
 from lctkit import volume
@@ -130,6 +132,47 @@ def test_different_seeds_differ():
 
 
 # ---------------------------------------------------------------------------
+# counting
+
+
+def broadcast_count(phi, thresholds):
+    return (phi[:, None] < thresholds[None, :]).sum(axis=0, dtype=np.int64)
+
+
+def test_count_below_matches_the_broadcast_compare():
+    rng = np.random.default_rng(6)
+    # unsorted, with a duplicate
+    thresholds = np.array([-1.0, -3.0, 0.5, -3.0, -math.inf, 2.0, -0.25])
+    phi = np.concatenate([
+        rng.normal(-1.0, 2.0, 5000),
+        thresholds,  # phi equal to each threshold is not below it
+        [-math.inf, -math.inf, math.inf, math.nan, math.nan, -0.0, 0.0],
+    ])
+    rng.shuffle(phi)
+    counts = volume._count_below(phi, thresholds)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, broadcast_count(phi, thresholds))
+    empty = volume._count_below(np.array([]), thresholds)
+    np.testing.assert_array_equal(empty, np.zeros(thresholds.size, dtype=np.int64))
+
+
+floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@given(
+    st.lists(floats, max_size=60),
+    st.lists(st.floats(allow_nan=False, allow_infinity=True), min_size=1, max_size=12),
+)
+def test_count_below_matches_the_broadcast_compare_property(phi, thresholds):
+    phi, thresholds = np.array(phi, dtype=float), np.array(thresholds, dtype=float)
+    # phi values drawn from the thresholds too, so that ties are common
+    phi = np.concatenate([phi, thresholds[::2]])
+    np.testing.assert_array_equal(
+        volume._count_below(phi, thresholds), broadcast_count(phi, thresholds)
+    )
+
+
+# ---------------------------------------------------------------------------
 # argument validation
 
 
@@ -167,6 +210,18 @@ def test_chunk_budget_is_checked_before_any_draw():
     # 992 radii + 16 x 2 variables is exactly the budget
     volume._require_chunk_budget(SampledPotential(evaluator, 2), 992)
     volume._require_chunk_budget(SampledPotential(evaluator, 63), 1)
+
+
+def test_sample_count_is_bounded_before_any_seed_is_spawned(monkeypatch):
+    def seed_sequence(*_):
+        raise AssertionError("seeds spawned")
+
+    monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+    limit = volume._MAX_CHUNKS * volume._CHUNK
+    with pytest.raises(InvalidInputError, match=f"samples must be at most {limit}"):
+        estimate_sublevel_volume(monomial_potential([1]), 0.5, samples=limit + 1)
+    with pytest.raises(InvalidInputError, match="at most"):
+        fit_exponent(monomial_potential([1]), samples=10**12)
 
 
 def test_potential_validation():
@@ -252,6 +307,112 @@ def test_direct_sum_potential_combines_blocks():
     left = diagonal_potential([2]).evaluator(coords[:, :2])
     right = diagonal_potential([3]).evaluator(coords[:, 2:])
     np.testing.assert_allclose(p.evaluator(coords), np.logaddexp(left, right), rtol=1e-12)
+
+
+MODULI_SPECS = [
+    "mono:3",
+    "mono:2,1",
+    "mono:1,0,2",
+    "mono:0,0,0,1",
+    "diag:2",
+    "diag:2,3",
+    "diag:1,4,2,5",
+    "dsum(mono:2,1;diag:2,3)",
+    "dsum(diag:2;mono:0,3,1)",
+    "dsum(mono:1;dsum(mono:0,1;diag:3))",
+]
+
+
+def coordinate_reference(spec):
+    """The potential of a moduli-only spec written per coordinate block,
+    straight from its definition and in the numpy operations of the
+    coordinate evaluators, which the moduli form must reproduce bit for bit."""
+    if isinstance(spec, PrincipalMonomial):
+        alpha = np.asarray(spec.exponents, dtype=float)
+
+        def monomial(coords):
+            sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
+            sq[:, alpha == 0] = 1.0
+            with np.errstate(divide="ignore"):
+                return 0.5 * (np.log(sq) @ alpha)
+
+        return monomial
+    if isinstance(spec, Diagonal):
+        half = np.asarray(spec.orders, dtype=float) / 2.0
+
+        def diagonal(coords):
+            sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
+            with np.errstate(divide="ignore"):
+                return np.log(np.sum(sq**half, axis=1))
+
+        return diagonal
+    left, right = coordinate_reference(spec.left), coordinate_reference(spec.right)
+    off = 2 * spec.left.nvars
+    return lambda coords: np.logaddexp(left(coords[:, :off]), right(coords[:, off:]))
+
+
+@pytest.mark.parametrize("text", MODULI_SPECS)
+def test_moduli_form_keeps_the_coordinate_evaluator_bytes(text):
+    spec = parse_spec(text)
+    p = potential_from_spec(spec)
+    assert p.moduli is not None
+    rng = np.random.default_rng(7)
+    coords = rng.uniform(-0.7, 0.7, size=(20_000, 2 * spec.nvars))
+    coords[:50, :2] = 0.0  # a vanishing first coordinate
+    coords[50:60] = 0.0
+    expected = coordinate_reference(spec)(coords)
+    assert p.evaluator(coords).tobytes() == expected.tobytes()
+    # the moduli form agrees with it up to rounding, and does not touch its input
+    sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
+    before = sq.copy()
+    np.testing.assert_allclose(p.moduli(sq), expected, rtol=1e-13)
+    np.testing.assert_array_equal(sq, before)
+
+
+def test_only_potentials_of_the_moduli_carry_the_moduli_form():
+    for text in ("ssum(mono:2;mono:3)", "dsum(mono:1;ssum(mono:2;mono:3))"):
+        assert potential_from_spec(parse_spec(text)).moduli is None
+    assert binomial_family(2, 3)(0.5).moduli is None
+    with pytest.raises(InvalidInputError):
+        SampledPotential(lambda c: c, 1, moduli="no")
+
+
+def test_moduli_sampling_draws_only_the_radii():
+    # |z_i|^2 = R_i^2 u with u the first draw of the chunk's generator;
+    # the coordinate evaluator is never called
+    seen = []
+
+    def moduli(sq):
+        seen.append(sq.copy())
+        return np.zeros(sq.shape[0])
+
+    def evaluator(coords):
+        raise AssertionError("coordinates built")
+
+    p = SampledPotential(evaluator, 2, radius=(0.5, 2.0), moduli=moduli)
+    volume._sample_volumes(p, np.array([0.5]), 3000, SEED, 1)
+    (child,) = np.random.SeedSequence(SEED).spawn(1)
+    u = np.random.Generator(np.random.PCG64(child)).random((3000, 2))
+    assert seen[0].tobytes() == (np.array([0.25, 4.0]) * u).tobytes()
+
+
+@pytest.mark.parametrize("text", MODULI_SPECS)
+@pytest.mark.parametrize("radius", [1.0, 0.7, (0.6, 1.3, 0.9, 2.0)])
+def test_moduli_sampling_counts_equal_the_coordinate_path(text, radius):
+    # the same u draws give the same |z|^2 up to rounding, and so the same
+    # counts; the coordinate path of the same evaluator is the reference
+    spec = parse_spec(text)
+    radius = radius if isinstance(radius, float) else radius[: spec.nvars]
+    p = potential_from_spec(spec, radius)
+    reference = SampledPotential(p.evaluator, p.dimension, p.radius)
+    assert reference.moduli is None
+    thresholds = np.log(np.geomspace(0.5, 1e-3, 9) * min(p.radius))
+    for seed in (0, 1, SEED):
+        counts, volumes, _ = volume._sample_volumes(p, thresholds, 150_000, seed, 2)
+        ref_counts, ref_volumes, _ = volume._sample_volumes(reference, thresholds, 150_000, seed, 1)
+        np.testing.assert_array_equal(counts, ref_counts)
+        assert volumes.tobytes() == ref_volumes.tobytes()
+        assert counts[0] > 0
 
 
 def test_ideal_inside_separated_sum_rejected():
