@@ -46,11 +46,19 @@ NOT_FANO = "NOT_FANO"
 
 # Largest box a scan accepts, counted as C(max_a3 - min_a0 + 4, 4): just
 # above the a3 <= 256 box.  The scan never allocates the box: it builds
-# (a0, a1, a2) triples in blocks of a0 and solves cond (i) for a3, so its
-# peak RSS is about 60 MiB at a3 <= 128 and at a3 <= 256 alike (index 1;
-# 2-core x86-64, numpy 2.4).  The limit bounds the scan's time, which
-# still grows like the number of triples.
+# (a0, a1, a2) triples in blocks of a fixed number of a0 values and solves
+# cond (i) for a3, with no sort, so a fano-scan process peaks at about
+# 48 MiB at a3 <= 128, a0 >= 3 and 62 MiB at a3 <= 256 (index 1; 2-core
+# x86-64, numpy 2.4).  The limit bounds the scan's time, which still grows
+# like the number of triples.
 MAX_BOX_SYSTEMS = 2 * 10**8
+
+# Most (e0, e1, e2) steps weighted_monomials may take, by its closed-form
+# bound: just above the 3.14e6 of (1,1,1,261) at d = 263, the costliest
+# system in a box MAX_BOX_SYSTEMS accepts.  Where nearly every step is a
+# monomial, as on (1,1,1,1) at d = 262, the list takes about 1 s and
+# 290 MiB, and `fano-monomials --format json` 8 s and 680 MiB peak RSS.
+_MAX_MONOMIAL_STEPS = 32 * 10**5
 
 # Systems whose twisted tangent bundle has been verified nef along every
 # component of the curve (x0 = 0) by an explicit by-hand computation.
@@ -97,9 +105,20 @@ class WeightSystem:
 
 
 def weighted_monomials(w: WeightSystem) -> list[Monomial]:
-    """All exponent vectors alpha with sum alpha_i a_i = d, lex order."""
+    """All exponent vectors alpha with sum alpha_i a_i = d, lex order.
+
+    The loop visits each (e0, e1, e2) with a0 e0 + a1 e1 + a2 e2 <= d.  The
+    unit cubes at those points lie in the simplex a.y <= d + a0 + a1 + a2,
+    so there are at most (d + a0 + a1 + a2)^3 / (6 a0 a1 a2) of them; a
+    system whose bound passes _MAX_MONOMIAL_STEPS is refused before the loop.
+    """
     a0, a1, a2, a3 = w.a
     d = w.d
+    if (d + a0 + a1 + a2) ** 3 > 6 * a0 * a1 * a2 * _MAX_MONOMIAL_STEPS:
+        raise InvalidInputError(
+            f"degree {d} on weights {w.a} may take more than {_MAX_MONOMIAL_STEPS} "
+            "enumeration steps"
+        )
     out: list[Monomial] = []
     for e0 in range(d // a0 + 1):
         r0 = d - e0 * a0
@@ -517,31 +536,26 @@ def _extend(cols: list[np.ndarray], hi: int) -> list[np.ndarray]:
 
 
 # Most (a0, a1, a2) triples a scan builds at once.  The prefilter walks
-# the box in runs of a0 holding about this many triples, so its
+# the box in runs of a0 holding at most this many triples, so its
 # temporaries stay a few tens of MiB whatever the box size.
 _BLOCK_TRIPLES = 1 << 18
 
 
 def _a0_blocks(config: ScanConfig) -> list[tuple[int, int]]:
-    """Split [min_a0, max_a3] into runs of a0 values, each with at most
-    _BLOCK_TRIPLES triples a0 <= a1 <= a2 <= max_a3 (or a single a0)."""
-    hi = config.max_a3
-    blocks, start, size = [], config.min_a0, 0
-    for a0 in range(config.min_a0, hi + 1):
-        triples = math.comb(hi - a0 + 2, 2)
-        if size and size + triples > _BLOCK_TRIPLES:
-            blocks.append((start, a0 - 1))
-            start, size = a0, 0
-        size += triples
-    blocks.append((start, hi))
-    return blocks
+    """Split [min_a0, max_a3] into runs of a fixed number of a0 values.
+    The first a0 has the most triples a0 <= a1 <= a2 <= max_a3, so each
+    run holds at most _BLOCK_TRIPLES of them (or is a single a0)."""
+    lo, hi = config.min_a0, config.max_a3
+    step = max(1, _BLOCK_TRIPLES // math.comb(hi - lo + 2, 2))
+    return [(a0, min(a0 + step - 1, hi)) for a0 in range(lo, hi + 1, step)]
 
 
 def _box_arrays(
     config: ScanConfig, a0_range: Optional[tuple[int, int]] = None
 ) -> tuple[np.ndarray, ...]:
     """The systems of the box (or of its a0_range slice) that satisfy
-    cond (i) for x3, as flat int32 columns in lexicographic order.
+    cond (i) for x3, as flat int32 columns in no particular order.  A
+    system that meets it in several ways appears once per way.
 
     Cond (i) for x3 asks for x3^m or x3^m x_k (m >= 1) of degree
     d = k - index.  Writing s = a0 + a1 + a2 and r = s - index or
@@ -557,29 +571,23 @@ def _box_arrays(
     a0, a1, a2 = _extend(_extend([np.arange(lo, top + 1, dtype=np.int32)], hi), hi)
     s = a0 + a1 + a2 - np.int32(config.fano_index)
 
-    # each candidate is keyed by (triple row, a3); triple rows are in
-    # lexicographic order, so sorted keys give sorted systems
-    n = hi + 1
-    keys = []
+    # each hit is a (triple row, a3) pair
+    hits, a3s = [], []
     free = np.zeros(a0.size, dtype=bool)
     for r in (s, s - a0, s - a1, s - a2):
         free |= r == 0
         # m - 1 = 1, then m - 1 = 2; a3 >= a2 >= 1 also rules out r <= 0
         for a3, exact in ((r, True), (r >> 1, (r & 1) == 0)):
-            rows = np.flatnonzero(exact & (a3 >= a2) & (a3 <= hi))
-            keys.append(rows * n + a3[rows])
+            hit = np.flatnonzero(exact & (a3 >= a2) & (a3 <= hi))
+            hits.append(hit)
+            a3s.append(a3[hit])
     # m = 1 with r == 0: a3 runs over [a2, hi]
-    rows, _, f3 = _extend([np.flatnonzero(free), a2[free]], hi)
-    keys.append(rows * n + f3)
+    hit, _, f3 = _extend([np.flatnonzero(free), a2[free]], hi)
+    hits.append(hit)
+    a3s.append(f3)
 
-    # sort and mask repeats: np.unique, hash-based in numpy 2.x, is ~70x
-    # slower on these keys
-    key = np.sort(np.concatenate(keys))
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    key = key[first]
-    rows, a3 = np.divmod(key, n)
-    return a0[rows], a1[rows], a2[rows], a3.astype(np.int32)
+    rows = np.concatenate(hits)
+    return a0[rows], a1[rows], a2[rows], np.concatenate(a3s)
 
 
 def _representable(t: int, a: int, b: int) -> bool:
@@ -611,8 +619,9 @@ def _prefilter(config: ScanConfig) -> list[tuple[tuple[int, int, int, int], int]
     block of a0 values at a time: cond (i) for x0, x1, x2, vectorized over
     the many candidates, then :func:`_pairs_ok` on each of the few left.
     Sound pruning only; survivors still get the exact check.  Returns
-    (weights, d) rows in lexicographic order."""
-    rows = []
+    the distinct (weights, d) rows in lexicographic order: the set drops
+    the systems :func:`_box_arrays` yields more than once."""
+    rows = set()
     for block in _a0_blocks(config):
         cols = _box_arrays(config, block)
         # int32 is safe throughout: weights <= max_a3 and degrees <= 4*max_a3
@@ -634,8 +643,8 @@ def _prefilter(config: ScanConfig) -> list[tuple[tuple[int, int, int, int], int]
 
         for *a, dd in zip(*(c[keep].tolist() for c in (*cols, d))):
             if _pairs_ok(a, dd):
-                rows.append((tuple(a), dd))
-    return rows
+                rows.add((tuple(a), dd))
+    return sorted(rows)
 
 
 def scan(config: ScanConfig) -> ScanReport:

@@ -259,6 +259,12 @@ def lelong_sandwich(
 # text grammar
 
 
+# Most dsum(/ssum( levels a spec may nest.  Parsing, lct_monomial,
+# spec_to_text and the volume evaluators all recurse once or twice per
+# level, which keeps them far inside Python's default recursion limit.
+_MAX_SPEC_DEPTH = 32
+
+
 class _SpecParser:
     """Recursive-descent parser for the compact spec grammar."""
 
@@ -279,7 +285,7 @@ class _SpecParser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def _spec(self) -> MonomialIdealSpec:
+    def _spec(self, depth: int = 0) -> MonomialIdealSpec:
         self._skip_ws()
         for head in ("mono:", "diag:"):
             if self.text.startswith(head, self.pos):
@@ -290,10 +296,14 @@ class _SpecParser:
                 return Diagonal(values)
         for head in ("dsum(", "ssum("):
             if self.text.startswith(head, self.pos):
+                if depth == _MAX_SPEC_DEPTH:
+                    raise InvalidInputError(
+                        f"spec nests more than {_MAX_SPEC_DEPTH} dsum(/ssum( levels"
+                    )
                 self.pos += len(head)
-                left = self._spec()
+                left = self._spec(depth + 1)
                 self._expect(";")
-                right = self._spec()
+                right = self._spec(depth + 1)
                 self._expect(")")
                 if head == "dsum(":
                     return DirectSum(left, right)

@@ -49,10 +49,13 @@ DEFAULT_SEED = 1414213562
 
 _CHUNK = 1 << 17  # samples per chunk; fixed so results never depend on worker count
 
-# Bytes a chunk's grid comparison (1 per sample and radius, as a broadcast
-# compare takes) and coordinates (16 per sample and variable) may take; 12
-# radii in 2 variables take 5.5 MiB.
+# Bytes a chunk's coordinates (16 per sample and variable) and a fit's
+# radius grid may take; 12 radii in 2 variables take 4 MiB.
 _CHUNK_BYTES = 1 << 27
+
+# Bytes charged per grid radius: a chunk's count arrays and the fit's result
+# rows, up to its JSON rendering, which tracemalloc measures at about 430.
+_RADIUS_BYTES = 512
 
 # Chunks one sampling call may spawn seeds for, 2^32 samples: every chunk
 # holds a list entry and a SeedSequence (about 450 bytes) from the start.
@@ -267,13 +270,14 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
 
 
 def _require_chunk_budget(p: SampledPotential, grid_size: int) -> None:
-    """Refuse, before any draw, a grid whose chunk would pass _CHUNK_BYTES."""
+    """Refuse, before any draw, a grid and dimension whose chunk and
+    result rows would pass _CHUNK_BYTES."""
     if not isinstance(p, SampledPotential):
         raise InvalidInputError("expected a SampledPotential")
-    if _CHUNK * (grid_size + 16 * p.dimension) > _CHUNK_BYTES:
+    if _CHUNK * 16 * p.dimension + grid_size * _RADIUS_BYTES > _CHUNK_BYTES:
         raise InvalidInputError(
             f"{grid_size} radii in dimension {p.dimension} need over "
-            f"{_CHUNK_BYTES >> 20} MiB per {_CHUNK}-sample chunk"
+            f"{_CHUNK_BYTES >> 20} MiB for a {_CHUNK}-sample chunk and the result rows"
         )
 
 
@@ -303,9 +307,9 @@ def _sample_volumes(
 
     Chunked so results are bit-identical for any worker count: chunk
     boundaries depend only on the sample count, chunk seeds only on the
-    root seed and chunk index, and the merge is an integer sum.
+    root seed and chunk index, and the merge is an integer sum.  The
+    caller checks the chunk budget.
     """
-    _require_chunk_budget(p, log_thresholds.size)
     require_int(samples, 1000, "need at least 1000 samples")
     require_int(seed, 0, "seed must be a nonnegative integer")
     if -(-samples // _CHUNK) > _MAX_CHUNKS:
@@ -369,6 +373,7 @@ def estimate_sublevel_volume(
     """
     if not 0.0 < r < 1.0:
         raise InvalidInputError("radius r must lie in (0, 1)")
+    _require_chunk_budget(p, 1)
     _, volumes, std_errors = _sample_volumes(p, np.array([math.log(r)]), samples, seed, workers)
     return float(volumes[0]), float(std_errors[0])
 
@@ -546,13 +551,15 @@ def semicontinuity_experiment(
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise InvalidInputError("tolerance must be a finite nonnegative number")
     config = config or FitConfig()
+    require_int(config.grid_size, 4, "grid_size must be an integer >= 4")
 
-    fits = []
-    for t in t_values:
-        potential = family(t)
+    potentials = [family(t) for t in t_values]
+    for t, potential in zip(t_values, potentials):
         if not isinstance(potential, SampledPotential):
             raise InvalidInputError(f"family({t}) did not return a SampledPotential")
-        fits.append(fit_exponent(potential, **vars(config)))
+        # the report keeps the rows of every fit
+        _require_chunk_budget(potential, config.grid_size * len(t_values))
+    fits = [fit_exponent(potential, **vars(config)) for potential in potentials]
     baseline = fits[t_values.index(0.0)].fitted_c
     violations = tuple(
         t for t, fit in zip(t_values, fits) if fit.fitted_c < baseline - tolerance

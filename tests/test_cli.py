@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lctkit import cli
+from lctkit import cli, lct
+from lctkit import volume as vol
 from lctkit.errors import InternalError
 
 
@@ -45,6 +46,38 @@ def test_lct_nested_spec(capsys):
     assert json.loads(out) == {"c": "5/6", "lambda": "6/5"}
     rc, out, _ = run(capsys, "lct", "--spec", "ssum(mono:2;mono:2)")
     assert json.loads(out)["c"] == "1"
+
+
+def _nested(head, depth, leaf="mono:1"):
+    """A spec with depth levels of head(leaf;...), innermost head(leaf;leaf)."""
+    return f"{head}({leaf};" * depth + leaf + ")" * depth
+
+
+def test_lct_spec_nesting_is_bounded(capsys):
+    limit = lct._MAX_SPEC_DEPTH
+    rc, out, _ = run(capsys, "lct", "--spec", _nested("dsum", limit))
+    assert rc == 0
+    assert json.loads(out)["c"] == str(limit + 1)
+    # 988 levels once overflowed the parser's recursion with a RecursionError
+    for depth in (limit + 1, 988, 5000):
+        rc, out, err = run(capsys, "lct", "--spec", _nested("dsum", depth))
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: spec nests more than {limit} dsum(/ssum( levels\n"
+
+
+def test_volume_fit_spec_nesting_is_bounded(capsys):
+    limit = lct._MAX_SPEC_DEPTH
+    args = ("--samples", "20000", "--rmin", "0.3", "--rmax", "0.9", "--grid", "4")
+    rc, out, _ = run(capsys, "volume-fit", "--spec", _nested("ssum", limit), *args)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["exact_c"] == "1"
+    assert payload["spec"] == _nested("ssum", limit)
+    rc, out, err = run(capsys, "volume-fit", "--spec", _nested("ssum", limit + 1), *args)
+    assert rc == 1
+    assert out == ""
+    assert "nests more than" in err
 
 
 def test_lct_resolution_file(capsys, tmp_path):
@@ -130,20 +163,40 @@ def test_volume_fit_json(capsys):
 
 
 def test_volume_fit_grid_over_the_chunk_budget_exits_1(capsys):
-    # a 2^17 x 100000 comparison per chunk would be about 13 GB; it is
-    # refused before the radius grid or any sample is allocated
+    # the result rows of 10^6 radii alone would take about 430 MB; the
+    # grid is refused before the radii or any sample is allocated
     cli.run(["lct", "--spec", "mono:1"])  # build the cached parser first
     capsys.readouterr()
     tracemalloc.start()
     try:
-        rc, out, err = run(capsys, "volume-fit", "--spec", "mono:2,1", "--grid", "100000")
+        rc, out, err = run(capsys, "volume-fit", "--spec", "mono:2,1", "--grid", "1000000")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rc == 1
     assert out == ""
-    assert "MiB per 131072-sample chunk" in err
-    assert peak < 1 << 18  # the radius grid alone would take 800 kB
+    assert "MiB for a 131072-sample chunk and the result rows" in err
+    assert peak < 1 << 18  # the radius grid alone would take 8 MB
+
+
+def test_radius_charge_covers_what_a_fit_and_its_json_allocate(capsys):
+    # the per-radius growth of a volume-fit's tracemalloc peak, from the
+    # chunk's count arrays to the JSON on stdout, stays under _RADIUS_BYTES
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            rc = cli.run(
+                ["volume-fit", "--spec", "mono:1", "--samples", "1000",
+                 "--rmin", "0.3", "--rmax", "0.9", "--grid", str(grid)]
+            )
+            assert rc == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(4)  # build the cached parser first
+    assert peak(20000) - peak(2000) < 18000 * vol._RADIUS_BYTES
 
 
 def test_volume_fit_samples_over_the_chunk_limit_exits_1(capsys):
@@ -338,6 +391,26 @@ def test_fano_monomials_output(capsys):
     lines = out.splitlines()
     assert lines[0] == "x3^2"
     assert "x0^17*x2" in lines
+
+
+def test_fano_monomials_and_certify_refuse_a_degree_over_the_step_budget(capsys):
+    # (e0, e1, e2) take C(303, 3), about 4.5e6 steps, above the budget; the
+    # system is refused before the enumeration starts.  On weights 1,1,1,1
+    # the steps grow like d^3 and each is a monomial: degree 1000 would need
+    # tens of GB.
+    cli.run(["lct", "--spec", "mono:1"])  # build the cached parser first
+    capsys.readouterr()
+    for command in ("fano-monomials", "fano-certify"):
+        tracemalloc.start()
+        try:
+            rc, out, err = run(capsys, command, "--weights", "1,1,1,1000", "--degree", "300")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: degree 300 on weights (1, 1, 1, 1000) may take more than")
+        assert peak < 1 << 18
 
 
 def test_fano_scan_csv_default(capsys):

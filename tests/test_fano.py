@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -516,17 +517,56 @@ def _x3_cond_i(a, index):
 def test_box_arrays_is_the_x3_cond_i_slice_of_the_box():
     for max_a3, min_a0, index in itertools.product((12, 24), (1, 2, 3), range(1, 6)):
         config = ScanConfig(max_a3=max_a3, fano_index=index, min_a0=min_a0)
-        rows = list(zip(*(col.tolist() for col in fano._box_arrays(config))))
-        expected = [
+        rows = set(zip(*(col.tolist() for col in fano._box_arrays(config))))
+        expected = {
             a
             for a in itertools.combinations_with_replacement(range(min_a0, max_a3 + 1), 4)
             if _x3_cond_i(a, index)
-        ]
+        }
         assert rows == expected, (max_a3, min_a0, index)
     # index 2 with a0 = a1 = 1: x3^1 has degree d = a3 for every a2 <= a3
     rows = set(zip(*(col.tolist() for col in fano._box_arrays(ScanConfig(max_a3=24, fano_index=2)))))
     free = {(1, 1, a2, a3) for a2 in range(1, 25) for a3 in range(a2, 25)}
     assert free <= rows
+
+
+def test_monomial_step_bound_covers_the_enumeration():
+    rng = random.Random(7)
+    for _ in range(300):
+        a = tuple(sorted(rng.randint(1, 9) for _ in range(4)))
+        d = rng.randint(1, 60)
+        steps = sum(
+            1
+            for e0 in range(d // a[0] + 1)
+            for e1 in range((d - e0 * a[0]) // a[1] + 1)
+            for e2 in range((d - e0 * a[0] - e1 * a[1]) // a[2] + 1)
+        )
+        assert 6 * a[0] * a[1] * a[2] * steps <= (d + a[0] + a[1] + a[2]) ** 3, (a, d)
+
+
+def test_every_system_of_an_accepted_box_is_within_the_monomial_budget():
+    # d = k - index grows with a3 and shrinks with the index, so the
+    # costliest system of a box has a3 = max_a3 and index 1
+    for min_a0 in (1, 2, 3):
+        max_a3 = min_a0
+        while math.comb(max_a3 + 1 - min_a0 + 4, 4) <= fano.MAX_BOX_SYSTEMS:
+            max_a3 += 1
+        ScanConfig(max_a3=max_a3, min_a0=min_a0)
+        worst = 0
+        for a0 in range(min_a0, max_a3 + 1):
+            _, a1, a2 = fano._extend(
+                fano._extend([np.array([a0], dtype=np.int32)], max_a3), max_a3
+            )
+            a1, a2 = a1.astype(np.int64), a2.astype(np.int64)
+            s = a0 + a1 + a2
+            d = s + max_a3 - 1
+            worst = max(worst, int(((d + s) ** 3 // (6 * a0 * a1 * a2)).max()))
+        assert worst <= fano._MAX_MONOMIAL_STEPS, min_a0
+    # the costliest of all, at the largest a0 >= 1 box
+    assert math.comb(261 - 1 + 4, 4) <= fano.MAX_BOX_SYSTEMS < math.comb(262 - 1 + 4, 4)
+    assert certify(WeightSystem((1, 1, 1, 261), 263)).monomial_count == 34986
+    with pytest.raises(InvalidInputError, match="enumeration steps"):
+        weighted_monomials(WeightSystem((1, 1, 1, 1), 1000))
 
 
 def test_box_arrays_enumerates_a_small_part_of_the_box():
@@ -549,11 +589,31 @@ def test_prefilter_does_not_depend_on_the_block_size(monkeypatch):
     assert whole == split
 
 
+def test_a0_blocks_cover_the_a0_range_in_runs_of_at_most_block_triples(monkeypatch):
+    def check():
+        blocks = fano._a0_blocks(config)
+        assert blocks[0][0] == min_a0 and blocks[-1][1] == max_a3
+        assert [lo for lo, _ in blocks[1:]] == [hi + 1 for _, hi in blocks[:-1]]
+        for lo, hi in blocks:
+            assert lo <= hi
+            triples = sum(math.comb(max_a3 - a0 + 2, 2) for a0 in range(lo, hi + 1))
+            assert lo == hi or triples <= fano._BLOCK_TRIPLES, (max_a3, min_a0, lo, hi)
+
+    for max_a3 in (*range(1, 40), 64, 100, 127, 128, 200, 256, 261):
+        for min_a0 in {1, 2, 3, max_a3 // 2 or 1, max_a3}:
+            if min_a0 <= max_a3:
+                config = ScanConfig(max_a3=max_a3, min_a0=min_a0)
+                check()
+                with monkeypatch.context() as m:
+                    m.setattr(fano, "_BLOCK_TRIPLES", 100)
+                    check()
+
+
 def test_prefilter_is_cond_i_ii_iv_and_triple_coprimality_on_the_box_arrays():
     for max_a3, min_a0, index in itertools.product((12, 24), (1, 2, 3), range(1, 6)):
         config = ScanConfig(max_a3=max_a3, fano_index=index, min_a0=min_a0)
         expected = []
-        for a in zip(*(col.tolist() for col in fano._box_arrays(config))):
+        for a in sorted(set(zip(*(col.tolist() for col in fano._box_arrays(config))))):
             d = sum(a) - index  # >= 1 on every row of _box_arrays
             report = fletcher_check(WeightSystem(a, d))
             if (

@@ -201,15 +201,38 @@ def test_chunk_budget_is_checked_before_any_draw():
         calls.append(coords.shape)
         return np.zeros(coords.shape[0])
 
-    # 2^17 samples x (1 radius + 16 bytes x 64 variables) passes 128 MiB
+    # 2^17 samples x 16 bytes x 64 variables is 128 MiB, and a radius on top passes it
     with pytest.raises(InvalidInputError, match="MiB"):
         estimate_sublevel_volume(SampledPotential(evaluator, 64), 0.5, samples=1000)
     with pytest.raises(InvalidInputError, match="MiB"):
-        fit_exponent(SampledPotential(evaluator, 2), grid_size=993, samples=1000)
+        fit_exponent(SampledPotential(evaluator, 2), grid_size=253953, samples=1000)
     assert calls == []
-    # 992 radii + 16 x 2 variables is exactly the budget
-    volume._require_chunk_budget(SampledPotential(evaluator, 2), 992)
-    volume._require_chunk_budget(SampledPotential(evaluator, 63), 1)
+    # 2^17 x 16 x 2 bytes of coordinates + 253952 radii x 512 bytes is exactly the budget
+    volume._require_chunk_budget(SampledPotential(evaluator, 2), 253952)
+    volume._require_chunk_budget(SampledPotential(evaluator, 63), 4096)
+    with pytest.raises(InvalidInputError, match="MiB"):
+        volume._require_chunk_budget(SampledPotential(evaluator, 63), 4097)
+    # the compare that once took 1 byte per sample and radius is gone: 993 radii fit
+    fit = fit_exponent(monomial_potential([1]), r_min=0.3, r_max=0.9, grid_size=993, samples=1000)
+    assert len(fit.radii) == 993
+
+
+def test_semicontinuity_charges_the_rows_of_every_fit():
+    calls = []
+
+    def family(t):
+        def evaluator(coords):
+            calls.append(t)
+            return np.zeros(coords.shape[0])
+
+        return SampledPotential(evaluator, 2)
+
+    # one fit of 100000 radii is within the budget; the report of three is not
+    volume._require_chunk_budget(family(0.0), 100000)
+    config = FitConfig(grid_size=100000, samples=1000)
+    with pytest.raises(InvalidInputError, match="300000 radii"):
+        semicontinuity_experiment(family, [0.0, 0.5, 1.0], config=config)
+    assert calls == []
 
 
 def test_sample_count_is_bounded_before_any_seed_is_spawned(monkeypatch):
