@@ -16,6 +16,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Union
 
@@ -26,6 +27,7 @@ _INF_TOKENS = frozenset({"inf", "+inf", "infinity", "+infinity", "oo"})
 RationalLike = Union["ExtRational", Fraction, int, str]
 
 
+@functools.total_ordering
 class ExtRational:
     """An exact rational or +infinity.  Immutable and totally ordered."""
 
@@ -35,33 +37,36 @@ class ExtRational:
 
     def __init__(self, value: RationalLike = 0):
         if isinstance(value, ExtRational):
-            object.__setattr__(self, "_value", value._value)
-            return
-        if isinstance(value, str):
-            token = value.strip().lower()
-            if token in _INF_TOKENS:
-                object.__setattr__(self, "_value", None)
-                return
-            try:
-                object.__setattr__(self, "_value", Fraction(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InvalidInputError(f"not a rational literal: {value!r}") from exc
-            return
-        if isinstance(value, (int, Fraction)):
-            object.__setattr__(self, "_value", Fraction(value))
-            return
-        raise InvalidInputError(
-            f"cannot build an exact rational from {type(value).__name__}"
-        )
+            exact = value._value
+        elif isinstance(value, str):
+            if value.strip().lower() in _INF_TOKENS:
+                exact = None
+            else:
+                try:
+                    exact = Fraction(value)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise InvalidInputError(f"not a rational literal: {value!r}") from exc
+        elif isinstance(value, (int, Fraction)):
+            exact = Fraction(value)
+        else:
+            raise InvalidInputError(
+                f"cannot build an exact rational from {type(value).__name__}"
+            )
+        object.__setattr__(self, "_value", exact)
+
+    @classmethod
+    def _exact(cls, value: Fraction | None) -> "ExtRational":
+        """Wrap a value that is already exact (None for +infinity)."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_value", value)
+        return obj
 
     def __setattr__(self, name, val):  # pragma: no cover - defensive
         raise AttributeError("ExtRational is immutable")
 
     @classmethod
     def infinity(cls) -> "ExtRational":
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "_value", None)
-        return obj
+        return cls._exact(None)
 
     # -- predicates and accessors -------------------------------------
 
@@ -91,20 +96,20 @@ class ExtRational:
     def reciprocal(self) -> "ExtRational":
         """1/x with reciprocal(0) = inf and reciprocal(inf) = 0."""
         if self._value is None:
-            return ExtRational(0)
+            return ExtRational._exact(Fraction(0))
         if self._value == 0:
-            return ExtRational.infinity()
+            return ExtRational._exact(None)
         if self._value < 0:
             raise InvalidInputError("reciprocal of a negative value is not used here")
-        return ExtRational(Fraction(1) / self._value)
+        return ExtRational._exact(1 / self._value)
 
     def __add__(self, other: RationalLike) -> "ExtRational":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self._value is None or other._value is None:
-            return ExtRational.infinity()
-        return ExtRational(self._value + other._value)
+            return ExtRational._exact(None)
+        return ExtRational._exact(self._value + other._value)
 
     __radd__ = __add__
 
@@ -117,19 +122,12 @@ class ExtRational:
             if finite is not None and finite < 0:
                 raise InvalidInputError("negative multiples of infinity are undefined")
             # 0 * inf == 0 by convention; any positive multiple stays infinite.
-            if finite == 0:
-                return ExtRational(0)
-            return ExtRational.infinity()
-        return ExtRational(self._value * other._value)
+            return ExtRational._exact(finite if finite == 0 else None)
+        return ExtRational._exact(self._value * other._value)
 
     __rmul__ = __mul__
 
-    # -- order ----------------------------------------------------------
-
-    def _cmp_key(self) -> tuple[int, Fraction]:
-        if self._value is None:
-            return (1, Fraction(0))
-        return (0, self._value)
+    # -- order (total_ordering derives <=, > and >=) ---------------------
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -141,21 +139,9 @@ class ExtRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._cmp_key() < other._cmp_key()
-
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() <= other._cmp_key()
-
-    def __gt__(self, other) -> bool:
-        result = self.__le__(other)
-        return NotImplemented if result is NotImplemented else not result
-
-    def __ge__(self, other) -> bool:
-        result = self.__lt__(other)
-        return NotImplemented if result is NotImplemented else not result
+        if self._value is None:
+            return False
+        return other._value is None or self._value < other._value
 
     def __hash__(self) -> int:
         return hash(self._value)  # None hashes fine and only equals itself
@@ -163,14 +149,10 @@ class ExtRational:
     # -- rendering -------------------------------------------------------
 
     def __float__(self) -> float:
-        if self._value is None:
-            return float("inf")
-        return float(self._value)
+        return float("inf") if self._value is None else float(self._value)
 
     def __str__(self) -> str:
-        if self._value is None:
-            return "inf"
-        return str(self._value)
+        return "inf" if self._value is None else str(self._value)
 
     def __repr__(self) -> str:
         return f"ExtRational({str(self)!r})"
@@ -180,7 +162,7 @@ def _coerce(value) -> "ExtRational":
     if isinstance(value, ExtRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return ExtRational(value)
+        return ExtRational._exact(Fraction(value))
     return NotImplemented
 
 

@@ -65,9 +65,10 @@ class ResolutionData:
     def from_json(cls, document: Union[str, bytes, dict]) -> "ResolutionData":
         """Load from ``{"divisors":[{"a":0,"b":2,"meets_k":true},...]}``."""
         if isinstance(document, (str, bytes)):
+            # ValueError: bad JSON, undecodable bytes, int()'s digit limit
             try:
                 document = json.loads(document)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise InvalidInputError(f"resolution data is not valid JSON: {exc}") from exc
         if not isinstance(document, dict) or "divisors" not in document:
             raise InvalidInputError('resolution JSON must be an object with a "divisors" list')
@@ -99,13 +100,11 @@ def lct_from_resolution(data: ResolutionData) -> ExtRational:
         raise InvalidInputError("expected ResolutionData")
     if not data.divisors:
         raise InvalidInputError("resolution data has no divisor records")
-    best = INFINITY
-    for rec in data.divisors:
-        if rec.meets_k and rec.b > 0:
-            candidate = ExtRational(Fraction(rec.a + 1, rec.b))
-            if candidate < best:
-                best = candidate
-    return best
+    best = min(
+        (Fraction(rec.a + 1, rec.b) for rec in data.divisors if rec.meets_k and rec.b > 0),
+        default=None,
+    )
+    return INFINITY if best is None else ExtRational(best)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +148,8 @@ class Diagonal:
 
 
 @dataclass(frozen=True)
-class DirectSum:
-    """Ideal sum I + J on disjoint variable blocks; thresholds add."""
+class _BlockSum:
+    """Two specs on disjoint variable blocks, the left block first."""
 
     left: "MonomialIdealSpec"
     right: "MonomialIdealSpec"
@@ -165,20 +164,14 @@ class DirectSum:
 
 
 @dataclass(frozen=True)
-class SeparatedSum:
+class DirectSum(_BlockSum):
+    """Ideal sum I + J on disjoint variable blocks; thresholds add."""
+
+
+@dataclass(frozen=True)
+class SeparatedSum(_BlockSum):
     """Function sum f(z) + g(w) on disjoint variable blocks; threshold
     min(1, c(f) + c(g))."""
-
-    left: "MonomialIdealSpec"
-    right: "MonomialIdealSpec"
-
-    def __post_init__(self):
-        _require_spec(self.left)
-        _require_spec(self.right)
-
-    @property
-    def nvars(self) -> int:
-        return self.left.nvars + self.right.nvars
 
 
 MonomialIdealSpec = Union[PrincipalMonomial, Diagonal, DirectSum, SeparatedSum]
@@ -200,11 +193,9 @@ def lct_monomial(spec: MonomialIdealSpec) -> ExtRational:
         return ExtRational(min(Fraction(1, e) for e in spec.exponents if e > 0))
     if isinstance(spec, Diagonal):
         return ExtRational(sum(Fraction(1, m) for m in spec.orders))
-    if isinstance(spec, DirectSum):
-        return lct_monomial(spec.left) + lct_monomial(spec.right)
-    # SeparatedSum: threshold of f+g in disjoint variables, capped at 1.
+    # thresholds of blocks add; for f+g in disjoint variables, capped at 1
     total = lct_monomial(spec.left) + lct_monomial(spec.right)
-    return min(ExtRational(1), total)
+    return total if isinstance(spec, DirectSum) else min(ExtRational(1), total)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +255,9 @@ def lelong_sandwich(
 # level, which keeps them far inside Python's default recursion limit.
 _MAX_SPEC_DEPTH = 32
 
+_LEAF_HEADS = {"mono:": PrincipalMonomial, "diag:": Diagonal}
+_SUM_HEADS = {"dsum(": DirectSum, "ssum(": SeparatedSum}
+
 
 class _SpecParser:
     """Recursive-descent parser for the compact spec grammar."""
@@ -287,14 +281,11 @@ class _SpecParser:
 
     def _spec(self, depth: int = 0) -> MonomialIdealSpec:
         self._skip_ws()
-        for head in ("mono:", "diag:"):
+        for head, leaf in _LEAF_HEADS.items():
             if self.text.startswith(head, self.pos):
                 self.pos += len(head)
-                values = self._int_list()
-                if head == "mono:":
-                    return PrincipalMonomial(values)
-                return Diagonal(values)
-        for head in ("dsum(", "ssum("):
+                return leaf(self._int_list())
+        for head, block_sum in _SUM_HEADS.items():
             if self.text.startswith(head, self.pos):
                 if depth == _MAX_SPEC_DEPTH:
                     raise InvalidInputError(
@@ -305,9 +296,7 @@ class _SpecParser:
                 self._expect(";")
                 right = self._spec(depth + 1)
                 self._expect(")")
-                if head == "dsum(":
-                    return DirectSum(left, right)
-                return SeparatedSum(left, right)
+                return block_sum(left, right)
         raise InvalidInputError(
             f"expected mono:/diag:/dsum(/ssum( at position {self.pos} in {self.text!r}"
         )
@@ -320,22 +309,26 @@ class _SpecParser:
 
     def _int_list(self) -> tuple[int, ...]:
         values = [self._int()]
-        while True:
+        self._skip_ws()
+        while self.text.startswith(",", self.pos):
+            self.pos += 1
+            values.append(self._int())
             self._skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-                values.append(self._int())
-            else:
-                return tuple(values)
+        return tuple(values)
 
     def _int(self) -> int:
         self._skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start:
-            raise InvalidInputError(f"expected an integer at position {start} in {self.text!r}")
-        return int(self.text[start : self.pos])
+        try:
+            # int() refuses some digits, such as superscripts, and more
+            # than sys.get_int_max_str_digits() of them
+            return int(self.text[start : self.pos])
+        except ValueError as exc:
+            raise InvalidInputError(
+                f"expected an integer at position {start} in {self.text!r}"
+            ) from exc
 
 
 def parse_spec(text: str) -> MonomialIdealSpec:

@@ -49,9 +49,16 @@ DEFAULT_SEED = 1414213562
 
 _CHUNK = 1 << 17  # samples per chunk; fixed so results never depend on worker count
 
-# Bytes a chunk's coordinates (16 per sample and variable) and a fit's
-# radius grid may take; 12 radii in 2 variables take 4 MiB.
+# Bytes a chunk's draws and a fit's radius grid may take; a 2^17-sample
+# chunk and 12 radii in 2 variables take 8 MiB on the path of the moduli.
 _CHUNK_BYTES = 1 << 27
+
+# Bytes charged per sample and variable while a chunk is drawn and
+# evaluated; tracemalloc measures 64-72 on the coordinate path (radii,
+# angles, interleaved coordinates and the spec evaluator's complex copy)
+# and 18-28 for a potential of the moduli (squared moduli and their logs).
+_COORDINATE_BYTES = 72
+_MODULI_BYTES = 32
 
 # Bytes charged per grid radius: a chunk's count arrays and the fit's result
 # rows, up to its JSON rendering, which tracemalloc measures at about 430.
@@ -269,15 +276,18 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
 # sampling core
 
 
-def _require_chunk_budget(p: SampledPotential, grid_size: int) -> None:
-    """Refuse, before any draw, a grid and dimension whose chunk and
-    result rows would pass _CHUNK_BYTES."""
+def _require_chunk_budget(p: SampledPotential, grid_size: int, samples: int = _CHUNK) -> None:
+    """Refuse, before any draw, a sample count, grid and dimension whose
+    largest chunk and result rows would pass _CHUNK_BYTES."""
     if not isinstance(p, SampledPotential):
         raise InvalidInputError("expected a SampledPotential")
-    if _CHUNK * 16 * p.dimension + grid_size * _RADIUS_BYTES > _CHUNK_BYTES:
+    require_int(samples, 1000, "need at least 1000 samples")
+    chunk = min(samples, _CHUNK)
+    per_variable = _COORDINATE_BYTES if p.moduli is None else _MODULI_BYTES
+    if chunk * per_variable * p.dimension + grid_size * _RADIUS_BYTES > _CHUNK_BYTES:
         raise InvalidInputError(
             f"{grid_size} radii in dimension {p.dimension} need over "
-            f"{_CHUNK_BYTES >> 20} MiB for a {_CHUNK}-sample chunk and the result rows"
+            f"{_CHUNK_BYTES >> 20} MiB for a {chunk}-sample chunk and the result rows"
         )
 
 
@@ -308,9 +318,8 @@ def _sample_volumes(
     Chunked so results are bit-identical for any worker count: chunk
     boundaries depend only on the sample count, chunk seeds only on the
     root seed and chunk index, and the merge is an integer sum.  The
-    caller checks the chunk budget.
+    caller checks the chunk budget and the sample count.
     """
-    require_int(samples, 1000, "need at least 1000 samples")
     require_int(seed, 0, "seed must be a nonnegative integer")
     if -(-samples // _CHUNK) > _MAX_CHUNKS:
         raise InvalidInputError(f"samples must be at most {_MAX_CHUNKS * _CHUNK}")
@@ -373,7 +382,7 @@ def estimate_sublevel_volume(
     """
     if not 0.0 < r < 1.0:
         raise InvalidInputError("radius r must lie in (0, 1)")
-    _require_chunk_budget(p, 1)
+    _require_chunk_budget(p, 1, samples)
     _, volumes, std_errors = _sample_volumes(p, np.array([math.log(r)]), samples, seed, workers)
     return float(volumes[0]), float(std_errors[0])
 
@@ -475,7 +484,7 @@ def fit_exponent(
     if not (0.0 < r_min < r_max < 1.0):
         raise InvalidInputError("need 0 < r_min < r_max < 1")
     require_int(grid_size, 4, "grid_size must be an integer >= 4")
-    _require_chunk_budget(p, grid_size)
+    _require_chunk_budget(p, grid_size, samples)
 
     radii = np.geomspace(r_max, r_min, grid_size)
     counts, volumes, std_errors = _sample_volumes(p, np.log(radii), samples, seed, workers)
@@ -558,7 +567,7 @@ def semicontinuity_experiment(
         if not isinstance(potential, SampledPotential):
             raise InvalidInputError(f"family({t}) did not return a SampledPotential")
         # the report keeps the rows of every fit
-        _require_chunk_budget(potential, config.grid_size * len(t_values))
+        _require_chunk_budget(potential, config.grid_size * len(t_values), config.samples)
     fits = [fit_exponent(potential, **vars(config)) for potential in potentials]
     baseline = fits[t_values.index(0.0)].fitted_c
     violations = tuple(

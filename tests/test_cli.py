@@ -3,6 +3,9 @@ and determinism of the sampled subcommands."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -48,6 +51,22 @@ def test_lct_nested_spec(capsys):
     assert json.loads(out)["c"] == "1"
 
 
+@pytest.mark.parametrize(
+    "spec, c, lam",
+    [
+        ("dsum(mono:2;diag:3)", "5/6", "6/5"),
+        ("ssum(mono:2;mono:3)", "5/6", "6/5"),
+        ("mono:3,0,2", "1/3", "3"),
+    ],
+)
+def test_lct_spec_golden_in_every_format(capsys, spec, c, lam):
+    assert run(capsys, "lct", "--spec", spec) == (0, f'{{"c":"{c}","lambda":"{lam}"}}\n', "")
+    assert run(capsys, "lct", "--spec", spec, "--format", "csv") == (0, f"c,lambda\n{c},{lam}\n", "")
+    assert run(capsys, "lct", "--spec", spec, "--format", "text") == (
+        0, f"c = {c}\nlambda = {lam}\n", ""
+    )
+
+
 def _nested(head, depth, leaf="mono:1"):
     """A spec with depth levels of head(leaf;...), innermost head(leaf;leaf)."""
     return f"{head}({leaf};" * depth + leaf + ")" * depth
@@ -90,6 +109,29 @@ def test_lct_resolution_file(capsys, tmp_path):
     assert json.loads(out) == {"c": "1", "lambda": "1"}
 
 
+def test_lct_resolution_golden(capsys, tmp_path):
+    qualifying = tmp_path / "q.json"
+    qualifying.write_text('{"divisors":[{"a":0,"b":2},{"a":1,"b":3},{"a":4,"b":0}]}')
+    none = tmp_path / "none.json"
+    none.write_text('{"divisors":[{"a":0,"b":2,"meets_k":false},{"a":4,"b":0}]}')
+    for fmt, q_out, none_out in (
+        ("json", '{"c":"1/2","lambda":"2"}\n', '{"c":"inf","lambda":"0"}\n'),
+        ("csv", "c,lambda\n1/2,2\n", "c,lambda\ninf,0\n"),
+        ("text", "c = 1/2\nlambda = 2\n", "c = inf\nlambda = 0\n"),
+    ):
+        assert run(capsys, "lct", "--resolution", str(qualifying), "--format", fmt) == (0, q_out, "")
+        assert run(capsys, "lct", "--resolution", str(none), "--format", fmt) == (0, none_out, "")
+
+
+def test_lct_resolution_with_an_integer_int_refuses_exits_1(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"divisors":[{"a":' + "1" * 5000 + ',"b":2}]}')
+    rc, out, err = run(capsys, "lct", "--resolution", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: resolution data is not valid JSON")
+
+
 def test_lct_missing_resolution_file(capsys):
     rc, out, err = run(capsys, "lct", "--resolution", "/no/such/file.json")
     assert rc == 1
@@ -111,6 +153,26 @@ def test_exit_code_invalid_spec(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "integers >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lct", "--spec", "mono:\u00b2"),
+        ("lct", "--spec", "dsum(mono:1;diag:\u2074)"),
+        ("lct", "--spec", "mono:" + "9" * 5000),
+        ("volume-fit", "--spec", "diag:2,\u00b3"),
+    ],
+    ids=["lct-superscript", "lct-nested-superscript", "lct-past-int-digit-limit", "volume-fit"],
+)
+def test_spec_digits_that_int_refuses_exit_1(capsys, argv):
+    # str.isdigit accepts superscripts, and int() refuses more than 4300
+    # digits; both once ended in a ValueError traceback
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "integer" in err
 
 
 def test_exit_code_usage_errors(capsys):
@@ -251,6 +313,32 @@ def test_semicontinuity_small(capsys):
     assert payload["baseline_c"] == payload["entries"][0]["fitted_c"]
 
 
+def test_semicontinuity_csv_and_text_golden(capsys):
+    args = ("semicontinuity", "--t", "0,0.5", *FAST_FIT)
+    rc, out, _ = run(capsys, *args, "--format", "csv")
+    assert rc == 0
+    assert out == (
+        "t,fitted_c,violation\n"
+        "0.0,0.5282942552767653,false\n"
+        "0.5,0.8593664388973171,false\n"
+    )
+    rc, out, _ = run(capsys, *args, "--format", "text")
+    assert rc == 0
+    assert out == (
+        "family z1^2 + t*z2^2, tolerance 0.05\n"
+        "t = 0        fitted_c = 0.5283\n"
+        "t = 0.5      fitted_c = 0.8594\n"
+        "no semicontinuity violations\n"
+    )
+
+
+def test_semicontinuity_unparseable_t_exits_1(capsys):
+    rc, out, err = run(capsys, "semicontinuity", "--t", "0,abc", *FAST_FIT)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: expected comma-separated numbers, got '0,abc'\n"
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf"])
 def test_semicontinuity_rejects_non_finite_tolerance(capsys, tolerance):
     rc, out, err = run(capsys, "semicontinuity", "--tolerance", tolerance, *FAST_FIT)
@@ -290,6 +378,42 @@ def test_bergman_eval(capsys):
     assert block["phi"] == 0.0
     assert block["pointwise_bound_ok"] is True
     assert block["tail_bound"] >= 0
+
+
+_BERGMAN_ROWS = (
+    "c                      3/4\n"
+    "m                      2\n"
+    "k_min                  1\n"
+    "k_max                  65\n"
+    "lelong                 1/2\n"
+    "lelong_float           0.5\n"
+    "sandwich_ok            True\n"
+    "lower_bound_constant   0.918939\n"
+)
+
+
+def test_bergman_csv_and_text_golden(capsys):
+    csv = (
+        "c,m,k_min,k_max,lelong,lelong_float,sandwich_ok,lower_bound_constant\n"
+        "3/4,2,1,65,1/2,0.5,True,0.918939\n"
+    )
+    base = ("bergman", "--c", "3/4", "--m", "2")
+    # csv leaves the evaluation out
+    assert run(capsys, *base, "--format", "csv") == (0, csv, "")
+    assert run(capsys, *base, "--eval", "0.5", "--format", "csv") == (0, csv, "")
+    assert run(capsys, *base, "--format", "text") == (0, _BERGMAN_ROWS, "")
+    assert run(capsys, *base, "--eval", "0.5", "--format", "text") == (
+        0,
+        _BERGMAN_ROWS
+        + "eval:\n"
+        "  z_abs                0.5\n"
+        "  psi_m                -0.6064159328278661\n"
+        "  phi                  -0.5198603854199589\n"
+        "  tail_bound           1.484061617913138e-38\n"
+        "  pointwise_lower_bound -0.9793296520222953\n"
+        "  pointwise_bound_ok   True\n",
+        "",
+    )
 
 
 def test_bergman_invalid_inputs(capsys):
@@ -344,6 +468,19 @@ def test_fano_certify_json(capsys):
     assert payload["rho"] == "472/539"
     assert payload["rho_float"] == 0.875696
     assert payload["fletcher"]["pass"] is True
+
+
+def test_fano_certify_csv_golden(capsys):
+    header = "a0,a1,a2,a3,d,fletcher,rho,rho_float,verdict\n"
+    rc, out, _ = run(
+        capsys, "fano-certify", "--weights", "11,49,69,128", "--degree", "256", "--format", "csv"
+    )
+    assert (rc, out) == (0, header + "11,49,69,128,256,true,472/539,0.875696,KE_CERTIFIED\n")
+    # degree 4 on weights 1,1,1,1 is not Fano: no rho, two empty columns
+    rc, out, _ = run(
+        capsys, "fano-certify", "--weights", "1,1,1,1", "--degree", "4", "--format", "csv"
+    )
+    assert (rc, out) == (0, header + "1,1,1,1,4,true,,,NOT_FANO\n")
 
 
 def test_fano_nested_alias_is_identical(capsys):
@@ -465,6 +602,35 @@ def test_fano_scan_json(capsys):
     assert payload["config"]["max_a3"] == 12
     assert len(payload["entries"]) == 11
     assert payload["entries"][0]["weights"] == [3, 3, 5, 5]
+
+
+def test_fano_scan_text_golden(capsys):
+    rc, out, _ = run(capsys, "fano-scan", "--max-weight", "20", "--min-a0", "3", "--format", "text")
+    assert rc == 0
+    assert out == (
+        "examined 5985 systems (box a3<=20, index 1, a0>=3); 5 passed the prefilter, "
+        "5 pass the orbifold conditions (max a0 = 9)\n"
+        "certified        []\n"
+        "certified_refined []\n"
+    )
+
+
+def test_python_dash_m_lctkit_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "lctkit", "lct", "--spec", "diag:2,3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, '{"c":"5/6","lambda":"6/5"}\n', "")
+    done = subprocess.run(
+        [sys.executable, "-m", "lctkit", "lct", "--spec", "diag:0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

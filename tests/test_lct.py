@@ -107,6 +107,13 @@ def test_resolution_from_json_errors():
         ResolutionData.from_json('{"divisors":[{"a":1,"b":2,"extra":0}]}')
     with pytest.raises(InvalidInputError):
         ResolutionData.from_json('{"divisors":[{"a":1}]}')
+    for document in (
+        '{"divisors":[{"a":' + "1" * 5000 + ',"b":2}]}',  # past int()'s digit limit
+        b"\xff\xfe\xff",  # not UTF-8, UTF-16 or UTF-32
+        "[" * 100000,  # nested past the decoder's recursion limit
+    ):
+        with pytest.raises(InvalidInputError, match="not valid JSON"):
+            ResolutionData.from_json(document)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +255,20 @@ def test_parse_errors():
         "dsum(mono:2;mono:3",
         "mono:2)extra",
         "mono:-2",
+        "mono:\u00b2",  # isdigit, but int() refuses superscripts
+        "diag:2,\u00b3",
+        "mono:" + "9" * 5000,  # past int()'s digit limit
     ):
         with pytest.raises(InvalidInputError):
             parse_spec(bad)
     with pytest.raises(InvalidInputError):
         parse_spec(42)
+
+
+def test_parse_accepts_unicode_decimal_digits():
+    # int() reads every Unicode decimal digit, as the parser always has
+    assert parse_spec("mono:\u0663,\uff12") == PrincipalMonomial((3, 2))
+    assert parse_spec("diag:" + "0" * 4000 + "7") == Diagonal((7,))
 
 
 def test_parse_enforces_spec_invariants():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -201,20 +202,71 @@ def test_chunk_budget_is_checked_before_any_draw():
         calls.append(coords.shape)
         return np.zeros(coords.shape[0])
 
-    # 2^17 samples x 16 bytes x 64 variables is 128 MiB, and a radius on top passes it
+    # 2^17 samples x 72 bytes x 15 variables passes 128 MiB
     with pytest.raises(InvalidInputError, match="MiB"):
-        estimate_sublevel_volume(SampledPotential(evaluator, 64), 0.5, samples=1000)
+        estimate_sublevel_volume(SampledPotential(evaluator, 15), 0.5, samples=10**6)
     with pytest.raises(InvalidInputError, match="MiB"):
-        fit_exponent(SampledPotential(evaluator, 2), grid_size=253953, samples=1000)
+        fit_exponent(SampledPotential(evaluator, 2), grid_size=225281)
     assert calls == []
-    # 2^17 x 16 x 2 bytes of coordinates + 253952 radii x 512 bytes is exactly the budget
-    volume._require_chunk_budget(SampledPotential(evaluator, 2), 253952)
-    volume._require_chunk_budget(SampledPotential(evaluator, 63), 4096)
+    # 2^17 x 72 x 2 bytes of draws + 225280 radii x 512 bytes is exactly the budget
+    volume._require_chunk_budget(SampledPotential(evaluator, 2), 225280)
+    volume._require_chunk_budget(SampledPotential(evaluator, 14), 4096)
     with pytest.raises(InvalidInputError, match="MiB"):
-        volume._require_chunk_budget(SampledPotential(evaluator, 63), 4097)
+        volume._require_chunk_budget(SampledPotential(evaluator, 14), 4097)
+    # a potential of the moduli is charged 32 bytes per sample and variable
+    moduli = SampledPotential(evaluator, 31, moduli=lambda sq: sq[:, 0])
+    volume._require_chunk_budget(moduli, 8192)
+    with pytest.raises(InvalidInputError, match="MiB"):
+        volume._require_chunk_budget(moduli, 8193)
     # the compare that once took 1 byte per sample and radius is gone: 993 radii fit
     fit = fit_exponent(monomial_potential([1]), r_min=0.3, r_max=0.9, grid_size=993, samples=1000)
     assert len(fit.radii) == 993
+
+
+def test_chunk_budget_charges_the_largest_chunk_drawn():
+    # 33 variables on the coordinate path: a 20000-sample chunk takes about
+    # 43 MB, a full 2^17-sample chunk about 280 MB
+    p = potential_from_spec(parse_spec("ssum(mono:1;" * 32 + "mono:1" + ")" * 32))
+    assert p.moduli is None and p.dimension == 33
+    volume._require_chunk_budget(p, 12, 20000)
+    with pytest.raises(InvalidInputError, match="131072-sample chunk"):
+        volume._require_chunk_budget(p, 12, 10**6)
+    with pytest.raises(InvalidInputError, match="131072-sample chunk"):
+        estimate_sublevel_volume(p, 0.5)
+    with pytest.raises(InvalidInputError, match="at least 1000 samples"):
+        volume._require_chunk_budget(p, 12, 999)
+
+
+def chunk_peak(p, thresholds):
+    """tracemalloc's peak while one 2^17-sample chunk is drawn and counted."""
+    volume._sample_volumes(p, thresholds, 2000, SEED, 1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        volume._sample_volumes(p, thresholds, volume._CHUNK, SEED, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunk_charge_is_what_one_chunk_takes():
+    potentials = [potential_from_spec(parse_spec(text)) for text in (
+        "mono:1", "mono:1,0", "mono:2,1", "mono:1,0,0,0", "diag:2,3",
+        "dsum(mono:2,1;diag:2,3)",
+        "ssum(mono:1;mono:1)", "ssum(mono:3;mono:1,0)", "ssum(mono:1;ssum(mono:1;mono:1))",
+        "ssum(ssum(mono:1;mono:1);ssum(mono:1;mono:1))", "dsum(ssum(mono:1;mono:1);diag:2,3)",
+    )] + [binomial_family(2, 3)(1.0), zero_potential(1), zero_potential(3)]
+    thresholds = np.log(np.geomspace(1e-3, 1e-1, 12))
+    worst = {volume._COORDINATE_BYTES: 0.0, volume._MODULI_BYTES: 0.0}
+    for p in potentials:
+        per_variable = volume._COORDINATE_BYTES if p.moduli is None else volume._MODULI_BYTES
+        peak = chunk_peak(p, thresholds)
+        charge = volume._CHUNK * per_variable * p.dimension + thresholds.size * volume._RADIUS_BYTES
+        assert peak <= charge
+        worst[per_variable] = max(worst[per_variable], peak / (volume._CHUNK * p.dimension))
+    # each path's charge is its worst measured case rounded up: 72.0 bytes per
+    # sample and variable for ssum(mono:1;mono:1), 28.0 for mono:1,0
+    assert volume._COORDINATE_BYTES - 8 < worst[volume._COORDINATE_BYTES]
+    assert volume._MODULI_BYTES - 8 < worst[volume._MODULI_BYTES]
 
 
 def test_semicontinuity_charges_the_rows_of_every_fit():
