@@ -22,6 +22,11 @@ direct sums of those) are evaluated from the squared moduli R_i^2 u_i:
 sampling draws only the radii and neither the angles nor coordinates.
 The u_i are each chunk's first draws on either path, so the samples and
 the counts are the same as through the coordinate evaluator.
+
+A semicontinuity run counts every family member on one shared sample
+set: each chunk is drawn once per polydisk, and the members on it are
+evaluated and counted in turn.  Since a fit draws from the seed alone,
+the counts equal those of separate fits at the same seed.
 """
 
 from __future__ import annotations
@@ -101,8 +106,12 @@ class SampledPotential:
     be deterministic and total on the closed polydisk.
 
     ``moduli``, if given, is the same phi as a function of the (N, n)
-    array of squared moduli |z_i|^2; it must not modify its argument.
-    Sampling then draws only the radii and builds no coordinates.
+    array of squared moduli |z_i|^2.  Sampling then draws only the radii
+    and builds no coordinates.
+
+    Neither function may modify its argument: sampling passes it
+    read-only, because every potential counted on a chunk reads the same
+    array.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -168,11 +177,16 @@ def _moduli_function(spec: MonomialIdealSpec) -> Optional[Callable[[np.ndarray],
     """The potential of a spec as a function of the (N, n) squared moduli,
     for principal monomials, diagonal ideals and direct sums of those;
     None for specs whose potential also depends on the angles."""
+    # Each leaf takes a contiguous copy of its block, which a direct sum
+    # passes down as a column view, so it sees the bytes it would see on its
+    # own (numpy may run other SIMD loops on strided data) and only one
+    # block's copy is alive at a time.
     if isinstance(spec, PrincipalMonomial):
         alpha = np.asarray(spec.exponents, dtype=float)
         unused = alpha == 0
 
         def monomial(sq: np.ndarray) -> np.ndarray:
+            sq = np.ascontiguousarray(sq)
             if unused.any():
                 # log 1 = 0: a vanishing coordinate of exponent 0 adds nothing,
                 # where 0 * log 0 would make the sum NaN
@@ -185,6 +199,7 @@ def _moduli_function(spec: MonomialIdealSpec) -> Optional[Callable[[np.ndarray],
         half = np.asarray(spec.orders, dtype=float) / 2.0
 
         def diagonal(sq: np.ndarray) -> np.ndarray:
+            sq = np.ascontiguousarray(sq)
             with np.errstate(divide="ignore"):
                 return np.log(np.sum(sq**half, axis=1))
 
@@ -194,11 +209,7 @@ def _moduli_function(spec: MonomialIdealSpec) -> Optional[Callable[[np.ndarray],
         if left is None or right is None:
             return None
         k = spec.left.nvars
-        # contiguous blocks, as each block's own evaluator made them: numpy
-        # may run other SIMD loops on strided data
-        return lambda sq: np.logaddexp(
-            left(np.ascontiguousarray(sq[:, :k])), right(np.ascontiguousarray(sq[:, k:]))
-        )
+        return lambda sq: np.logaddexp(left(sq[:, :k]), right(sq[:, k:]))
     return None
 
 
@@ -305,53 +316,71 @@ def _count_below(phi: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _sample_volumes(
-    p: SampledPotential,
+def _sample_group(
+    potentials: Sequence[SampledPotential],
     log_thresholds: np.ndarray,
     samples: int,
     seed: int,
     workers: Optional[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts of uniform polydisk samples with phi < each threshold, and
-    the volumes and binomial standard errors they give.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per potential, in order, the counts of uniform polydisk samples with
+    phi < each threshold, and the volumes and binomial standard errors they
+    give.  The potentials share one dimension and polydisk radius, and every
+    chunk is drawn once and counted against each of them in turn.
 
     Chunked so results are bit-identical for any worker count: chunk
     boundaries depend only on the sample count, chunk seeds only on the
-    root seed and chunk index, and the merge is an integer sum.  The
-    caller checks the chunk budget and the sample count.
+    root seed and chunk index, and the merge is an integer sum.  So each
+    potential's counts are those it gets sampled alone.  The caller checks
+    the chunk budget and the sample count.
     """
     require_int(seed, 0, "seed must be a nonnegative integer")
     if -(-samples // _CHUNK) > _MAX_CHUNKS:
         raise InvalidInputError(f"samples must be at most {_MAX_CHUNKS * _CHUNK}")
+    first = potentials[0]
     sizes = [_CHUNK] * (samples // _CHUNK)
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    radius = np.asarray(p.radius)
-    n = p.dimension
+    radius = np.asarray(first.radius)
+    n = first.dimension
+    moduli = [k for k, p in enumerate(potentials) if p.moduli is not None]
+    coordinate = [k for k, p in enumerate(potentials) if p.moduli is None]
 
     def one_chunk(i: int) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(children[i]))
+        counts = np.empty((len(potentials), log_thresholds.size), dtype=np.int64)
+
+        def count(k: int, fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> None:
+            phi = np.asarray(fn(points), dtype=float)
+            if phi.shape != (sizes[i],):
+                raise InvalidInputError(
+                    f"evaluator returned shape {phi.shape}, expected ({sizes[i]},)"
+                )
+            counts[k] = _count_below(phi, log_thresholds)
+
         # area-uniform on each disk: |z|^2 = R^2 u with u uniform, drawn
-        # before the angles v; a potential of the moduli needs no angles
+        # before the angles v; potentials of the moduli need no angles
         u = rng.random((sizes[i], n))
-        if p.moduli is not None:
-            u *= radius * radius
-            phi = p.moduli(u)
-        else:
+        if moduli:
+            # in place, unless the coordinates still need u
+            sq = u.copy() if coordinate else u
+            sq *= radius * radius
+            sq.flags.writeable = False
+            for k in moduli:
+                count(k, potentials[k].moduli, sq)
+            del sq  # a copy is freed before the coordinates are built
+        if coordinate:
             rad = np.sqrt(u, out=u)
             rad *= radius
             ang = (2.0 * np.pi) * rng.random((sizes[i], n))
             coords = np.empty((sizes[i], 2 * n))
             coords[:, 0::2] = rad * np.cos(ang)
             coords[:, 1::2] = rad * np.sin(ang)
-            phi = p.evaluator(coords)
-        phi = np.asarray(phi, dtype=float)
-        if phi.shape != (sizes[i],):
-            raise InvalidInputError(
-                f"evaluator returned shape {phi.shape}, expected ({sizes[i]},)"
-            )
-        return _count_below(phi, log_thresholds)
+            coords.flags.writeable = False
+            for k in coordinate:
+                count(k, potentials[k].evaluator, coords)
+        return counts
 
     chunks = range(len(sizes))
     nworkers = min(_worker_count(workers), len(sizes))
@@ -359,13 +388,27 @@ def _sample_volumes(
         # On the calling thread: a pool thread started per call may come up
         # before the last call's thread has handed back its malloc arena, and
         # the fresh arena glibc then opens makes memory and time jump at random.
-        counts = sum(map(one_chunk, chunks))
+        totals = sum(map(one_chunk, chunks))
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            counts = sum(pool.map(one_chunk, chunks))
-    frac = counts / samples
-    vol = p.polydisk_volume
-    return counts, vol * frac, vol * np.sqrt(frac * (1.0 - frac) / samples)
+            totals = sum(pool.map(one_chunk, chunks))
+    vol = first.polydisk_volume
+    results = []
+    for counts in totals:
+        frac = counts / samples
+        results.append((counts, vol * frac, vol * np.sqrt(frac * (1.0 - frac) / samples)))
+    return results
+
+
+def _sample_volumes(
+    p: SampledPotential,
+    log_thresholds: np.ndarray,
+    samples: int,
+    seed: int,
+    workers: Optional[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_sample_group` for one potential."""
+    return _sample_group([p], log_thresholds, samples, seed, workers)[0]
 
 
 def estimate_sublevel_volume(
@@ -465,6 +508,12 @@ class FitConfig:
     workers: Optional[int] = None
 
 
+def _require_grid(r_min: float, r_max: float, grid_size: int) -> None:
+    if not (0.0 < r_min < r_max < 1.0):
+        raise InvalidInputError("need 0 < r_min < r_max < 1")
+    require_int(grid_size, 4, "grid_size must be an integer >= 4")
+
+
 def fit_exponent(
     p: SampledPotential,
     r_min: float = 1e-3,
@@ -481,13 +530,21 @@ def fit_exponent(
     column is exactly nonincreasing as r shrinks.  Least squares on the
     usable (nonzero) grid points; fitted_c is half the log r slope.
     """
-    if not (0.0 < r_min < r_max < 1.0):
-        raise InvalidInputError("need 0 < r_min < r_max < 1")
-    require_int(grid_size, 4, "grid_size must be an integer >= 4")
+    _require_grid(r_min, r_max, grid_size)
     _require_chunk_budget(p, grid_size, samples)
-
     radii = np.geomspace(r_max, r_min, grid_size)
-    counts, volumes, std_errors = _sample_volumes(p, np.log(radii), samples, seed, workers)
+    sampled = _sample_volumes(p, np.log(radii), samples, seed, workers)
+    return _regress(radii, *sampled, with_log_correction)
+
+
+def _regress(
+    radii: np.ndarray,
+    counts: np.ndarray,
+    volumes: np.ndarray,
+    std_errors: np.ndarray,
+    with_log_correction: bool,
+) -> ExponentFit:
+    """The least-squares fit of fit_exponent on sampled grid volumes."""
     used = counts > 0
     nused = int(used.sum())
     if nused < 3:
@@ -549,7 +606,15 @@ def semicontinuity_experiment(
     tolerance: float = 0.05,
 ) -> SemicontinuityReport:
     """Fit the exponent at each family parameter and flag drops below the
-    t = 0 baseline.  The baseline parameter 0 must be in t_values."""
+    t = 0 baseline.  The baseline parameter 0 must be in t_values.
+
+    Every family member is counted on one shared sample set: the members
+    that share a polydisk are sampled together, each chunk drawn once and
+    counted against each member in turn, and each fit is then run on its
+    member's counts.  Each fit equals ``fit_exponent(family(t),
+    **vars(config))``, since the counts are those of separate fits at the
+    same seed.
+    """
     if not callable(family):
         raise InvalidInputError("family must map t to a SampledPotential")
     t_values = [float(t) for t in t_values]
@@ -560,7 +625,7 @@ def semicontinuity_experiment(
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise InvalidInputError("tolerance must be a finite nonnegative number")
     config = config or FitConfig()
-    require_int(config.grid_size, 4, "grid_size must be an integer >= 4")
+    _require_grid(config.r_min, config.r_max, config.grid_size)
 
     potentials = [family(t) for t in t_values]
     for t, potential in zip(t_values, potentials):
@@ -568,7 +633,17 @@ def semicontinuity_experiment(
             raise InvalidInputError(f"family({t}) did not return a SampledPotential")
         # the report keeps the rows of every fit
         _require_chunk_budget(potential, config.grid_size * len(t_values), config.samples)
-    fits = [fit_exponent(potential, **vars(config)) for potential in potentials]
+    radii = np.geomspace(config.r_max, config.r_min, config.grid_size)
+    groups: dict[tuple, list[int]] = {}
+    for k, potential in enumerate(potentials):
+        groups.setdefault((potential.dimension, potential.radius), []).append(k)
+    sampled = {}
+    for members in groups.values():
+        group = [potentials[k] for k in members]
+        counted = _sample_group(group, np.log(radii), config.samples, config.seed, config.workers)
+        sampled.update(zip(members, counted))
+    # in t order, so the first fit short of data raises as it did alone
+    fits = [_regress(radii, *sampled[k], config.with_log_correction) for k in range(len(t_values))]
     baseline = fits[t_values.index(0.0)].fitted_c
     violations = tuple(
         t for t, fit in zip(t_values, fits) if fit.fitted_c < baseline - tolerance

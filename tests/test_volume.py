@@ -254,6 +254,8 @@ def test_chunk_charge_is_what_one_chunk_takes():
         "dsum(mono:2,1;diag:2,3)",
         "ssum(mono:1;mono:1)", "ssum(mono:3;mono:1,0)", "ssum(mono:1;ssum(mono:1;mono:1))",
         "ssum(ssum(mono:1;mono:1);ssum(mono:1;mono:1))", "dsum(ssum(mono:1;mono:1);diag:2,3)",
+        # 31 variables; once 4262 bytes per sample, when every level copied its right block
+        "dsum(mono:1;" * 30 + "mono:1" + ")" * 30,
     )] + [binomial_family(2, 3)(1.0), zero_potential(1), zero_potential(3)]
     thresholds = np.log(np.geomspace(1e-3, 1e-1, 12))
     worst = {volume._COORDINATE_BYTES: 0.0, volume._MODULI_BYTES: 0.0}
@@ -314,6 +316,26 @@ def test_evaluator_shape_is_checked():
     bad = SampledPotential(lambda coords: np.zeros((coords.shape[0], 2)), 1)
     with pytest.raises(InvalidInputError):
         estimate_sublevel_volume(bad, 0.5, samples=1000, seed=SEED)
+
+
+def test_sampling_passes_its_arrays_read_only():
+    # every potential counted on a chunk reads the same array
+    seen = []
+
+    def evaluator(coords):
+        seen.append(coords.flags.writeable)
+        with pytest.raises(ValueError, match="read-only"):
+            coords[0, 0] = 0.0
+        return np.zeros(coords.shape[0])
+
+    def moduli(sq):
+        seen.append(sq.flags.writeable)
+        return np.zeros(sq.shape[0])
+
+    estimate_sublevel_volume(SampledPotential(evaluator, 2), 0.5, samples=1000, seed=SEED)
+    with_moduli = SampledPotential(evaluator, 2, moduli=moduli)
+    estimate_sublevel_volume(with_moduli, 0.5, samples=1000, seed=SEED)
+    assert seen == [False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +716,86 @@ def test_semicontinuity_constant_family_is_flat():
     report = semicontinuity_experiment(family, [0.0, 1.0], config=SMALL_FIT)
     assert report.fits[0].fitted_c == report.fits[1].fitted_c
     assert report.violations == ()
+
+
+def counted_generators(monkeypatch):
+    """The seeds of every PCG64 built from now on."""
+    built = []
+    pcg64 = np.random.PCG64
+
+    def counted(seed):
+        built.append(seed)
+        return pcg64(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", counted)
+    return built
+
+
+def assert_fits_are_separate_fits(report, family, config):
+    for t, fit in zip(report.t_values, report.fits):
+        assert fit.to_json_dict() == fit_exponent(family(t), **vars(config)).to_json_dict()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_semicontinuity_draws_each_chunk_once(monkeypatch, workers):
+    # 300000 samples are three chunks, and one generator per chunk serves every t
+    family = binomial_family(2, 2)
+    config = FitConfig(samples=300_000, workers=workers)
+    built = counted_generators(monkeypatch)
+    report = semicontinuity_experiment(family, [0.0, 0.1, 1.0], config=config)
+    assert len(built) == 3
+    assert_fits_are_separate_fits(report, family, config)
+
+
+def test_semicontinuity_samples_each_polydisk_on_its_own(monkeypatch):
+    # t = 0.5 lies on another polydisk: two groups, each drawn from the seed
+    def family(t):
+        return potential_from_spec(parse_spec("ssum(mono:2;mono:3)"), 0.8 if t == 0.5 else 1.0)
+
+    config = FitConfig(r_min=5e-3, r_max=0.2, grid_size=8, samples=150_000, seed=SEED)
+    built = counted_generators(monkeypatch)
+    report = semicontinuity_experiment(family, [0.0, 0.5, 1.0], config=config)
+    assert len(built) == 4
+    assert report.fits[0].to_json_dict() != report.fits[1].to_json_dict()
+    assert_fits_are_separate_fits(report, family, config)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_semicontinuity_mixes_moduli_and_coordinate_members(monkeypatch, workers):
+    # one polydisk, both sampling paths: the moduli are a copy of the draws
+    # that the coordinates are then built from
+    def family(t):
+        text = "mono:2,1" if t == 0.5 else "ssum(mono:2;mono:2)"
+        return potential_from_spec(parse_spec(text), 0.8)
+
+    assert family(0.5).moduli is not None and family(0.0).moduli is None
+    config = FitConfig(r_min=5e-3, r_max=0.2, grid_size=8, samples=150_000, workers=workers)
+    built = counted_generators(monkeypatch)
+    report = semicontinuity_experiment(family, [0.0, 0.5, 1.0], config=config)
+    assert len(built) == 2
+    assert_fits_are_separate_fits(report, family, config)
+
+
+def test_semicontinuity_checks_the_grid_before_any_draw(monkeypatch):
+    built = counted_generators(monkeypatch)
+    for config in (FitConfig(r_min=0.5, r_max=0.1), FitConfig(r_max=1.0), FitConfig(grid_size=3)):
+        with pytest.raises(InvalidInputError):
+            semicontinuity_experiment(binomial_family(2, 2), [0.0, 1.0], config=config)
+    assert built == []
+
+
+def test_semicontinuity_raises_the_first_insufficient_fit_in_t_order():
+    # a constant phi is below the radii above it: all 4, 2 or none of the grid
+    levels = {0.0: -math.inf, 1.0: math.log(0.01), 2.0: 0.0}
+
+    def family(t):
+        return SampledPotential(lambda coords: np.full(coords.shape[0], levels[t]), 2)
+
+    config = FitConfig(grid_size=4, samples=1000)
+    with pytest.raises(InsufficientDataError, match="only 2 grid points"):
+        semicontinuity_experiment(family, [0.0, 1.0, 2.0], config=config)
+    with pytest.raises(InsufficientDataError, match="only 0 grid points"):
+        semicontinuity_experiment(family, [0.0, 2.0, 1.0], config=config)
 
 
 def test_semicontinuity_argument_errors():
