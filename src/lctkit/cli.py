@@ -37,7 +37,8 @@ from . import volume as vol
 from .errors import InsufficientDataError, InternalError, InvalidInputError
 from .extrational import ExtRational
 
-DEFAULT_SEED = vol.DEFAULT_SEED
+# Characters a --config or --resolution file may hold
+_MAX_FILE_CHARS = 1 << 24
 
 
 def _dumps(obj) -> str:
@@ -50,10 +51,9 @@ def _dumps(obj) -> str:
 
 def _parse_weights(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise InvalidInputError(f"weights must be comma-separated integers, got {text!r}") from exc
-    return parts
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -74,31 +74,44 @@ def _add_format(parser: argparse.ArgumentParser, default: str = "json") -> None:
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, default=10**6, help="Monte-Carlo sample count")
+    # one flag per FitConfig field, stored under the field's name
+    parser.set_defaults(**vars(vol.FitConfig()))
+    parser.add_argument("--samples", type=int, help="Monte-Carlo sample count")
+    parser.add_argument("--seed", type=int, help=f"RNG seed (default {vol.FitConfig.seed})")
     parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})"
+        "--rmin", dest="r_min", metavar="RMIN", type=float, help="smallest grid radius"
     )
-    parser.add_argument("--rmin", type=float, default=1e-3, help="smallest grid radius")
-    parser.add_argument("--rmax", type=float, default=1e-1, help="largest grid radius")
-    parser.add_argument("--grid", type=int, default=12, help="number of grid radii")
+    parser.add_argument(
+        "--rmax", dest="r_max", metavar="RMAX", type=float, help="largest grid radius"
+    )
+    parser.add_argument(
+        "--grid", dest="grid_size", metavar="GRID", type=int, help="number of grid radii"
+    )
     parser.add_argument(
         "--log-correction",
+        dest="with_log_correction",
         action="store_true",
         help="add the log log(1/r) regressor to the volume fit",
     )
-    parser.add_argument("--workers", type=int, default=None, help="parallel sampling workers")
+    parser.add_argument("--workers", type=int, help="parallel sampling workers")
 
 
 def _fit_config(args: argparse.Namespace) -> vol.FitConfig:
-    return vol.FitConfig(
-        r_min=args.rmin,
-        r_max=args.rmax,
-        grid_size=args.grid,
-        samples=args.samples,
-        seed=args.seed,
-        with_log_correction=args.log_correction,
-        workers=args.workers,
-    )
+    return vol.FitConfig(**{name: getattr(args, name) for name in vars(vol.FitConfig())})
+
+
+def _read_text(path: str, name: str) -> str:
+    """The text of a file named on the command line, decoded as
+    ``Path.read_text`` decodes it; past _MAX_FILE_CHARS characters the
+    rest is left unread and the file refused."""
+    try:
+        with open(path) as file:
+            text = file.read(_MAX_FILE_CHARS + 1)
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read {name}: {exc}") from exc
+    if len(text) > _MAX_FILE_CHARS:
+        raise InvalidInputError(f"{name} holds over {_MAX_FILE_CHARS} characters")
+    return text
 
 
 # store_true flags, which a config file sets with a true/false value
@@ -107,10 +120,7 @@ _BOOLEAN_FLAGS = ("log-correction", "refined")
 
 def _read_config_file(path: str) -> list[str]:
     """Turn key=value lines into flag tokens injected before user flags."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, ValueError) as exc:
-        raise InvalidInputError(f"cannot read config file {path}: {exc}") from exc
+    text = _read_text(path, f"config file {path}")
     tokens: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -144,8 +154,7 @@ def _inject_config(argv: list[str]) -> list[str]:
         path = prefixed[0].split("=", 1)[1]
     injected = _read_config_file(path)
     # insert right after the subcommand tokens so explicit flags override
-    head = 2 if argv and argv[0] == "fano" else 1
-    head = min(head, len(argv))
+    head = 2 if argv[0] == "fano" else 1
     return argv[:head] + injected + argv[head:]
 
 
@@ -159,10 +168,7 @@ def _cmd_lct(args: argparse.Namespace) -> str:
     if args.spec:
         c = lct.lct_monomial(lct.parse_spec(args.spec))
     else:
-        try:
-            text = Path(args.resolution).read_text()
-        except (OSError, ValueError) as exc:
-            raise InvalidInputError(f"cannot read {args.resolution}: {exc}") from exc
+        text = _read_text(args.resolution, args.resolution)
         c = lct.lct_from_resolution(lct.ResolutionData.from_json(text))
     lam = lct.arnold_multiplicity(c)
     if args.format == "json":

@@ -23,10 +23,12 @@ sampling draws only the radii and neither the angles nor coordinates.
 The u_i are each chunk's first draws on either path, so the samples and
 the counts are the same as through the coordinate evaluator.
 
-A semicontinuity run counts every family member on one shared sample
-set: each chunk is drawn once per polydisk, and the members on it are
-evaluated and counted in turn.  Since a fit draws from the seed alone,
-the counts equal those of separate fits at the same seed.
+Every fit goes through one path, which fits a list of potentials on one
+shared sample set: each chunk is drawn once per polydisk, and the
+potentials on it are evaluated and counted in turn.  A volume fit is the
+list of one potential, a semicontinuity run the list of its members.
+Since a fit draws from the seed alone, its counts are those of its
+potential fitted alone at the same seed.
 """
 
 from __future__ import annotations
@@ -144,8 +146,15 @@ class SampledPotential:
         return vol
 
 
-def _as_complex(coords: np.ndarray) -> np.ndarray:
-    return coords[:, 0::2] + 1j * coords[:, 1::2]
+def _log_modulus(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluator log|f| of a holomorphic function ``fn`` of the (N, n)
+    complex coordinates."""
+
+    def evaluator(coords: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(fn(coords[:, 0::2] + 1j * coords[:, 1::2])))
+
+    return evaluator
 
 
 def _complex_function(spec: MonomialIdealSpec, offset: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -224,13 +233,7 @@ def _evaluator(spec: MonomialIdealSpec) -> Callable[[np.ndarray], np.ndarray]:
         off = 2 * spec.left.nvars
         return lambda coords: np.logaddexp(left(coords[:, :off]), right(coords[:, off:]))
     if isinstance(spec, SeparatedSum):
-        fn = _complex_function(spec, 0)
-
-        def function(coords: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(fn(_as_complex(coords))))
-
-        return function
+        return _log_modulus(_complex_function(spec, 0))
     raise InvalidInputError(f"expected a monomial ideal spec, got {type(spec).__name__}")
 
 
@@ -272,13 +275,7 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
 
     def make(t: float) -> SampledPotential:
         tt = float(t)
-
-        def evaluator(coords: np.ndarray) -> np.ndarray:
-            z = _as_complex(coords)
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(z[:, 0] ** m + tt * z[:, 1] ** p))
-
-        return SampledPotential(evaluator, 2)
+        return SampledPotential(_log_modulus(lambda z: z[:, 0] ** m + tt * z[:, 1] ** p), 2)
 
     return make
 
@@ -400,17 +397,6 @@ def _sample_group(
     return results
 
 
-def _sample_volumes(
-    p: SampledPotential,
-    log_thresholds: np.ndarray,
-    samples: int,
-    seed: int,
-    workers: Optional[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_sample_group` for one potential."""
-    return _sample_group([p], log_thresholds, samples, seed, workers)[0]
-
-
 def estimate_sublevel_volume(
     p: SampledPotential,
     r: float,
@@ -426,7 +412,8 @@ def estimate_sublevel_volume(
     if not 0.0 < r < 1.0:
         raise InvalidInputError("radius r must lie in (0, 1)")
     _require_chunk_budget(p, 1, samples)
-    _, volumes, std_errors = _sample_volumes(p, np.array([math.log(r)]), samples, seed, workers)
+    log_r = np.array([math.log(r)])
+    ((_, volumes, std_errors),) = _sample_group([p], log_r, samples, seed, workers)
     return float(volumes[0]), float(std_errors[0])
 
 
@@ -530,11 +517,29 @@ def fit_exponent(
     column is exactly nonincreasing as r shrinks.  Least squares on the
     usable (nonzero) grid points; fitted_c is half the log r slope.
     """
-    _require_grid(r_min, r_max, grid_size)
-    _require_chunk_budget(p, grid_size, samples)
-    radii = np.geomspace(r_max, r_min, grid_size)
-    sampled = _sample_volumes(p, np.log(radii), samples, seed, workers)
-    return _regress(radii, *sampled, with_log_correction)
+    config = FitConfig(r_min, r_max, grid_size, samples, seed, with_log_correction, workers)
+    return _fit_all([p], config)[0]
+
+
+def _fit_all(potentials: Sequence[SampledPotential], config: FitConfig) -> list[ExponentFit]:
+    """The fit of :func:`fit_exponent` for each potential, in order.  The
+    potentials that share a polydisk are sampled together, each chunk drawn
+    once and counted against each of them in turn."""
+    _require_grid(config.r_min, config.r_max, config.grid_size)
+    for p in potentials:
+        # the caller keeps the rows of every fit
+        _require_chunk_budget(p, config.grid_size * len(potentials), config.samples)
+    radii = np.geomspace(config.r_max, config.r_min, config.grid_size)
+    groups: dict[tuple, list[int]] = {}
+    for k, p in enumerate(potentials):
+        groups.setdefault((p.dimension, p.radius), []).append(k)
+    sampled = {}
+    for members in groups.values():
+        group = [potentials[k] for k in members]
+        counted = _sample_group(group, np.log(radii), config.samples, config.seed, config.workers)
+        sampled.update(zip(members, counted))
+    # in input order, so the first fit short of data raises as it does alone
+    return [_regress(radii, *sampled[k], config.with_log_correction) for k in sorted(sampled)]
 
 
 def _regress(
@@ -608,12 +613,9 @@ def semicontinuity_experiment(
     """Fit the exponent at each family parameter and flag drops below the
     t = 0 baseline.  The baseline parameter 0 must be in t_values.
 
-    Every family member is counted on one shared sample set: the members
-    that share a polydisk are sampled together, each chunk drawn once and
-    counted against each member in turn, and each fit is then run on its
-    member's counts.  Each fit equals ``fit_exponent(family(t),
-    **vars(config))``, since the counts are those of separate fits at the
-    same seed.
+    Every family member is counted on one shared sample set, and each fit
+    equals ``fit_exponent(family(t), **vars(config))``: both run one fit
+    path, which samples the members that share a polydisk together.
     """
     if not callable(family):
         raise InvalidInputError("family must map t to a SampledPotential")
@@ -622,28 +624,18 @@ def semicontinuity_experiment(
         raise InvalidInputError("t_values must be nonempty")
     if 0.0 not in t_values:
         raise InvalidInputError("t_values must include the baseline t = 0")
+    if not all(map(math.isfinite, t_values)):
+        raise InvalidInputError("family parameters t must be finite")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise InvalidInputError("tolerance must be a finite nonnegative number")
     config = config or FitConfig()
+    # a refused grid calls no family member
     _require_grid(config.r_min, config.r_max, config.grid_size)
-
     potentials = [family(t) for t in t_values]
     for t, potential in zip(t_values, potentials):
         if not isinstance(potential, SampledPotential):
             raise InvalidInputError(f"family({t}) did not return a SampledPotential")
-        # the report keeps the rows of every fit
-        _require_chunk_budget(potential, config.grid_size * len(t_values), config.samples)
-    radii = np.geomspace(config.r_max, config.r_min, config.grid_size)
-    groups: dict[tuple, list[int]] = {}
-    for k, potential in enumerate(potentials):
-        groups.setdefault((potential.dimension, potential.radius), []).append(k)
-    sampled = {}
-    for members in groups.values():
-        group = [potentials[k] for k in members]
-        counted = _sample_group(group, np.log(radii), config.samples, config.seed, config.workers)
-        sampled.update(zip(members, counted))
-    # in t order, so the first fit short of data raises as it did alone
-    fits = [_regress(radii, *sampled[k], config.with_log_correction) for k in range(len(t_values))]
+    fits = _fit_all(potentials, config)
     baseline = fits[t_values.index(0.0)].fitted_c
     violations = tuple(
         t for t, fit in zip(t_values, fits) if fit.fitted_c < baseline - tolerance

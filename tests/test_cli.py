@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -337,6 +338,16 @@ def test_semicontinuity_unparseable_t_exits_1(capsys):
     assert rc == 1
     assert out == ""
     assert err == "error: expected comma-separated numbers, got '0,abc'\n"
+
+
+@pytest.mark.parametrize("t", ["0,nan", "0,inf"])
+def test_semicontinuity_non_finite_t_exits_1_before_any_draw(capsys, monkeypatch, t):
+    built = []
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or pcg64(seed))
+    rc, out, err = run(capsys, "semicontinuity", "--t", t, *FAST_FIT)
+    assert (rc, out, err) == (1, "", "error: family parameters t must be finite\n")
+    assert built == []
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf"])
@@ -722,6 +733,32 @@ def test_config_file_that_is_not_text_exits_1(capsys, tmp_path):
     rc, _, err = run(capsys, "lct", "--spec", "diag:2", "--config", str(cfg))
     assert rc == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["--resolution"], "{}"), (["--spec", "diag:2", "--config"], "config file {}")],
+    ids=["resolution", "config"],
+)
+def test_file_one_character_over_the_bound_exits_1(capsys, tmp_path, argv, name):
+    path = tmp_path / "big"
+    with open(path, "wb") as f:
+        f.truncate(cli._MAX_FILE_CHARS + 1)  # sparse: the NULs take no disk space
+    rc, out, err = run(capsys, "lct", *argv, str(path))
+    assert (rc, out) == (1, "")
+    assert err == f"error: {name.format(path)} holds over {cli._MAX_FILE_CHARS} characters\n"
+
+
+def test_file_bound_counts_decoded_characters(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    text = "# r\u00e9glage\nkmax=30\n"
+    cfg.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(cli, "_MAX_FILE_CHARS", len(text))
+    rc, out, _ = run(capsys, "bergman", "--c", "3/4", "--m", "2", "--config", str(cfg))
+    assert rc == 0 and json.loads(out)["k_max"] == 30
+    monkeypatch.setattr(cli, "_MAX_FILE_CHARS", len(text) - 1)
+    rc, _, err = run(capsys, "bergman", "--c", "3/4", "--m", "2", "--config", str(cfg))
+    assert rc == 1 and "holds over" in err
 
 
 def test_out_writes_payload(capsys, tmp_path):

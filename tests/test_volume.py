@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lctkit
-from lctkit import volume
+from lctkit import cli, volume
 from lctkit import (
     Diagonal,
     DirectSum,
@@ -239,10 +239,10 @@ def test_chunk_budget_charges_the_largest_chunk_drawn():
 
 def chunk_peak(p, thresholds):
     """tracemalloc's peak while one 2^17-sample chunk is drawn and counted."""
-    volume._sample_volumes(p, thresholds, 2000, SEED, 1)  # first-call allocations
+    volume._sample_group([p], thresholds, 2000, SEED, 1)  # first-call allocations
     tracemalloc.start()
     try:
-        volume._sample_volumes(p, thresholds, volume._CHUNK, SEED, 1)
+        volume._sample_group([p], thresholds, volume._CHUNK, SEED, 1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -487,7 +487,7 @@ def test_moduli_sampling_draws_only_the_radii():
         raise AssertionError("coordinates built")
 
     p = SampledPotential(evaluator, 2, radius=(0.5, 2.0), moduli=moduli)
-    volume._sample_volumes(p, np.array([0.5]), 3000, SEED, 1)
+    volume._sample_group([p], np.array([0.5]), 3000, SEED, 1)
     (child,) = np.random.SeedSequence(SEED).spawn(1)
     u = np.random.Generator(np.random.PCG64(child)).random((3000, 2))
     assert seen[0].tobytes() == (np.array([0.25, 4.0]) * u).tobytes()
@@ -505,8 +505,10 @@ def test_moduli_sampling_counts_equal_the_coordinate_path(text, radius):
     assert reference.moduli is None
     thresholds = np.log(np.geomspace(0.5, 1e-3, 9) * min(p.radius))
     for seed in (0, 1, SEED):
-        counts, volumes, _ = volume._sample_volumes(p, thresholds, 150_000, seed, 2)
-        ref_counts, ref_volumes, _ = volume._sample_volumes(reference, thresholds, 150_000, seed, 1)
+        ((counts, volumes, _),) = volume._sample_group([p], thresholds, 150_000, seed, 2)
+        ((ref_counts, ref_volumes, _),) = volume._sample_group(
+            [reference], thresholds, 150_000, seed, 1
+        )
         np.testing.assert_array_equal(counts, ref_counts)
         assert volumes.tobytes() == ref_volumes.tobytes()
         assert counts[0] > 0
@@ -612,9 +614,24 @@ def test_fit_argument_errors():
 
 
 def test_fit_config_fields_are_fit_exponent_keywords():
-    # semicontinuity_experiment and the CLI run fit_exponent(p, **vars(config))
+    # fit_exponent builds a FitConfig from its keywords in this order, the
+    # CLI copies its fit flags by field name, and callers run
+    # fit_exponent(p, **vars(config))
     params = list(inspect.signature(fit_exponent).parameters.values())[1:]
-    assert {q.name: q.default for q in params} == vars(FitConfig())
+    assert [(q.name, q.default) for q in params] == list(vars(FitConfig()).items())
+    args = cli._build_parser().parse_args(["volume-fit", "--spec", "mono:1"])
+    assert cli._fit_config(args) == FitConfig()
+
+
+@pytest.mark.parametrize("text", ["mono:2,1", "ssum(mono:2;mono:3)"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_is_the_r_max_row_of_a_fit(text, workers):
+    # both entry points count the same draws at the same seed
+    p = potential_from_spec(parse_spec(text))
+    estimate = estimate_sublevel_volume(p, 0.2, samples=150_000, seed=SEED, workers=workers)
+    fit = fit_exponent(p, r_max=0.2, samples=150_000, seed=SEED, workers=workers)
+    assert fit.radii[0] == 0.2
+    assert estimate == (fit.volumes[0], fit.std_errors[0])
 
 
 def test_fit_serialization():
@@ -782,6 +799,20 @@ def test_semicontinuity_checks_the_grid_before_any_draw(monkeypatch):
         with pytest.raises(InvalidInputError):
             semicontinuity_experiment(binomial_family(2, 2), [0.0, 1.0], config=config)
     assert built == []
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_semicontinuity_refuses_non_finite_t_before_any_draw(monkeypatch, t):
+    called = []
+
+    def family(s):
+        called.append(s)
+        return monomial_potential([1])
+
+    built = counted_generators(monkeypatch)
+    with pytest.raises(InvalidInputError, match="t must be finite"):
+        semicontinuity_experiment(family, [0.0, t], config=SMALL_FIT)
+    assert called == [] and built == []
 
 
 def test_semicontinuity_raises_the_first_insufficient_fit_in_t_order():
