@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InternalError, InvalidInputError, require_int
+from .errors import InternalError, InvalidInputError, require_int, require_real
 from .extrational import ExtRational
 
 DEFAULT_TABLE_MARGIN = 64  # default K_max = k_min + this
@@ -125,7 +125,7 @@ def eval_psi_m(ap: BergmanApprox, z_abs: float) -> float:
     """psi_m(z) = (1/2m) log sum_{k_min}^{k_max} sigma_k |z|^{2k}."""
     if not isinstance(ap, BergmanApprox):
         raise InvalidInputError("expected a BergmanApprox")
-    if not 0.0 < z_abs < 1.0:
+    if not 0.0 < require_real(z_abs, "z_abs must be a number, got {value!r}") < 1.0:
         raise InvalidInputError("z_abs must lie in (0, 1)")
     lead, poly = _log_series(ap, z_abs)
     return (lead + poly) / (2 * ap.m)
@@ -138,7 +138,9 @@ def eval_tail_bound(ap: BergmanApprox, z_abs: float) -> float:
     sum_{k > K} (k+1) x^k = x^{K+1} ((K+2)(1-x) + x) / (1-x)^2,
     then log(S + T) - log S <= T/S.
     """
-    if not 0.0 < z_abs < 1.0:
+    if not isinstance(ap, BergmanApprox):
+        raise InvalidInputError("expected a BergmanApprox")
+    if not 0.0 < require_real(z_abs, "z_abs must be a number, got {value!r}") < 1.0:
         raise InvalidInputError("z_abs must lie in (0, 1)")
     x = z_abs * z_abs
     K = ap.k_max

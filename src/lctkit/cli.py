@@ -114,48 +114,42 @@ def _read_text(path: str, name: str) -> str:
     return text
 
 
-# store_true flags, which a config file sets with a true/false value
-_BOOLEAN_FLAGS = ("log-correction", "refined")
-
-
-def _read_config_file(path: str) -> list[str]:
-    """Turn key=value lines into flag tokens injected before user flags."""
-    text = _read_text(path, f"config file {path}")
-    tokens: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def _inject_config(argv: list[str]) -> list[str]:
+    """Turn the key=value lines of a --config file into flags of the command
+    being run, put before its first flag so that explicit flags win.  A key
+    must name a flag of that command, a repeated key keeps its last value,
+    and a store_true flag takes true or false."""
+    # a --config with no path is argparse's to refuse
+    paths = [path for flag, path in zip(argv, argv[1:]) if flag == "--config"]
+    paths += [t.partition("=")[2] for t in argv if t.startswith("--config=")]
+    if not paths:
+        return argv
+    path = paths[0]
+    head = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+    parser = _build_parser()
+    for token in argv[:head]:  # down the subcommands to the command's parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parser = action.choices.get(token, parser)
+    flags: dict[str, list[str]] = {}
+    for lineno, raw in enumerate(_read_text(path, f"config file {path}").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise InvalidInputError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip().replace("_", "-")
-        value = value.strip()
-        flag = f"--{key}"
-        if key in _BOOLEAN_FLAGS and value.lower() in ("true", "yes", "on", "1"):
-            tokens.append(flag)
-        elif key in _BOOLEAN_FLAGS and value.lower() in ("false", "no", "off", "0"):
-            continue
+        flag, value = "--" + key.strip().replace("_", "-"), value.strip()
+        action = parser._option_string_actions.get(flag)
+        if action is None:
+            raise InvalidInputError(f"{path}:{lineno}: {parser.prog} has no flag {flag}")
+        if action.nargs != 0:
+            flags[flag] = [f"{flag}={value}"]
+        elif value.lower() in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+            flags[flag] = [flag] if value.lower() in ("true", "yes", "on", "1") else []
         else:
-            tokens.extend([flag, value])
-    return tokens
-
-
-def _inject_config(argv: list[str]) -> list[str]:
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            raise InvalidInputError("--config needs a file path")
-        path = argv[i + 1]
-    else:
-        prefixed = [t for t in argv if t.startswith("--config=")]
-        if not prefixed:
-            return argv
-        path = prefixed[0].split("=", 1)[1]
-    injected = _read_config_file(path)
-    # insert right after the subcommand tokens so explicit flags override
-    head = 2 if argv[0] == "fano" else 1
-    return argv[:head] + injected + argv[head:]
+            raise InvalidInputError(f"{path}:{lineno}: {flag} takes true or false, got {value!r}")
+    return argv[:head] + [token for tokens in flags.values() for token in tokens] + argv[head:]
 
 
 # ---------------------------------------------------------------------------

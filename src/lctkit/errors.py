@@ -43,3 +43,11 @@ def require_int(value, minimum: Optional[int], message: str) -> int:
     ):
         raise InvalidInputError(message.format(value=value))
     return value
+
+
+def require_real(value, message: str) -> float:
+    """Return ``value`` if it is an int or a float (not a bool); otherwise
+    raise InvalidInputError with ``message.format(value=value)``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidInputError(message.format(value=value))
+    return value

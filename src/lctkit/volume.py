@@ -28,7 +28,8 @@ shared sample set: each chunk is drawn once per polydisk, and the
 potentials on it are evaluated and counted in turn.  A volume fit is the
 list of one potential, a semicontinuity run the list of its members.
 Since a fit draws from the seed alone, its counts are those of its
-potential fitted alone at the same seed.
+potential fitted alone at the same seed.  Its settings are a FitConfig,
+which refuses a bad value when it is built, before any draw.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InsufficientDataError, InternalError, InvalidInputError, require_int
+from .errors import InsufficientDataError, InternalError, InvalidInputError
+from .errors import require_int, require_real
 from .lct import (
     Diagonal,
     DirectSum,
@@ -79,9 +81,7 @@ _MAX_CHUNKS = 1 << 15
 def _worker_count(requested: Optional[int]) -> int:
     """Effective worker count: requested (default 1), capped by LCT_THREADS
     and by the CPU count."""
-    workers = 1 if requested is None else int(requested)
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
+    workers = 1 if requested is None else requested
     cap = os.environ.get("LCT_THREADS", "").strip()
     if cap:
         try:
@@ -127,8 +127,8 @@ class SampledPotential:
             raise InvalidInputError("evaluator must be callable")
         if self.moduli is not None and not callable(self.moduli):
             raise InvalidInputError("moduli must be callable or None")
-        r = self.radius
-        r = tuple(float(x) for x in ((r,) if isinstance(r, (int, float)) else r))
+        r = self.radius if isinstance(self.radius, (tuple, list, np.ndarray)) else (self.radius,)
+        r = tuple(float(require_real(x, "radii must be numbers, got {value!r}")) for x in r)
         if len(r) == 1:
             r *= self.dimension
         if len(r) != self.dimension:
@@ -289,7 +289,6 @@ def _require_chunk_budget(p: SampledPotential, grid_size: int, samples: int = _C
     largest chunk and result rows would pass _CHUNK_BYTES."""
     if not isinstance(p, SampledPotential):
         raise InvalidInputError("expected a SampledPotential")
-    require_int(samples, 1000, "need at least 1000 samples")
     chunk = min(samples, _CHUNK)
     per_variable = _COORDINATE_BYTES if p.moduli is None else _MODULI_BYTES
     if chunk * per_variable * p.dimension + grid_size * _RADIUS_BYTES > _CHUNK_BYTES:
@@ -329,11 +328,8 @@ def _sample_group(
     boundaries depend only on the sample count, chunk seeds only on the
     root seed and chunk index, and the merge is an integer sum.  So each
     potential's counts are those it gets sampled alone.  The caller checks
-    the chunk budget and the sample count.
+    the chunk budget and passes settings that a FitConfig checked.
     """
-    require_int(seed, 0, "seed must be a nonnegative integer")
-    if -(-samples // _CHUNK) > _MAX_CHUNKS:
-        raise InvalidInputError(f"samples must be at most {_MAX_CHUNKS * _CHUNK}")
     first = potentials[0]
     sizes = [_CHUNK] * (samples // _CHUNK)
     if samples % _CHUNK:
@@ -409,8 +405,9 @@ def estimate_sublevel_volume(
     Returns the volume estimate and its binomial standard error, both
     scaled by the polydisk volume.  Deterministic for a fixed seed.
     """
-    if not 0.0 < r < 1.0:
+    if not 0.0 < require_real(r, "radius r must be a number, got {value!r}") < 1.0:
         raise InvalidInputError("radius r must lie in (0, 1)")
+    FitConfig(samples=samples, seed=seed, workers=workers)  # checks all three
     _require_chunk_budget(p, 1, samples)
     log_r = np.array([math.log(r)])
     ((_, volumes, std_errors),) = _sample_group([p], log_r, samples, seed, workers)
@@ -494,11 +491,18 @@ class FitConfig:
     with_log_correction: bool = False
     workers: Optional[int] = None
 
-
-def _require_grid(r_min: float, r_max: float, grid_size: int) -> None:
-    if not (0.0 < r_min < r_max < 1.0):
-        raise InvalidInputError("need 0 < r_min < r_max < 1")
-    require_int(grid_size, 4, "grid_size must be an integer >= 4")
+    def __post_init__(self):
+        real = "r_min and r_max must be numbers, got {value!r}"
+        if not 0.0 < require_real(self.r_min, real) < require_real(self.r_max, real) < 1.0:
+            raise InvalidInputError("need 0 < r_min < r_max < 1")
+        require_int(self.grid_size, 4, "grid_size must be an integer >= 4")
+        if require_int(self.samples, 1000, "need at least 1000 samples") > _MAX_CHUNKS * _CHUNK:
+            raise InvalidInputError(f"samples must be at most {_MAX_CHUNKS * _CHUNK}")
+        require_int(self.seed, 0, "seed must be a nonnegative integer")
+        if not isinstance(self.with_log_correction, bool):
+            raise InvalidInputError("with_log_correction must be True or False")
+        if self.workers is not None:
+            require_int(self.workers, 1, "workers must be None or an integer >= 1, got {value!r}")
 
 
 def fit_exponent(
@@ -525,7 +529,6 @@ def _fit_all(potentials: Sequence[SampledPotential], config: FitConfig) -> list[
     """The fit of :func:`fit_exponent` for each potential, in order.  The
     potentials that share a polydisk are sampled together, each chunk drawn
     once and counted against each of them in turn."""
-    _require_grid(config.r_min, config.r_max, config.grid_size)
     for p in potentials:
         # the caller keeps the rows of every fit
         _require_chunk_budget(p, config.grid_size * len(potentials), config.samples)
@@ -620,22 +623,15 @@ def semicontinuity_experiment(
     if not callable(family):
         raise InvalidInputError("family must map t to a SampledPotential")
     t_values = [float(t) for t in t_values]
-    if not t_values:
-        raise InvalidInputError("t_values must be nonempty")
     if 0.0 not in t_values:
         raise InvalidInputError("t_values must include the baseline t = 0")
     if not all(map(math.isfinite, t_values)):
         raise InvalidInputError("family parameters t must be finite")
-    if not (math.isfinite(tolerance) and tolerance >= 0):
+    if not 0.0 <= require_real(tolerance, "tolerance must be a number, got {value!r}") < math.inf:
         raise InvalidInputError("tolerance must be a finite nonnegative number")
     config = config or FitConfig()
-    # a refused grid calls no family member
-    _require_grid(config.r_min, config.r_max, config.grid_size)
-    potentials = [family(t) for t in t_values]
-    for t, potential in zip(t_values, potentials):
-        if not isinstance(potential, SampledPotential):
-            raise InvalidInputError(f"family({t}) did not return a SampledPotential")
-    fits = _fit_all(potentials, config)
+    # _fit_all refuses a member that is not a SampledPotential before any draw
+    fits = _fit_all([family(t) for t in t_values], config)
     baseline = fits[t_values.index(0.0)].fitted_c
     violations = tuple(
         t for t, fit in zip(t_values, fits) if fit.fitted_c < baseline - tolerance

@@ -116,6 +116,20 @@ def test_eval_validation():
         lower_bound_constant(42)
 
 
+def test_eval_tail_bound_checks_its_approximant():
+    # like its three siblings: no AttributeError from a string's missing k_max
+    with pytest.raises(InvalidInputError, match="BergmanApprox"):
+        eval_tail_bound("x", 0.5)
+
+
+@pytest.mark.parametrize("z", ["0.5", None, b"0.5", True])
+def test_non_numeric_z_abs_raises_invalid_input(z):
+    ap = build_approx(RadialWeight(Fraction(3, 4)), 2)
+    for evaluate in (eval_psi_m, eval_tail_bound):
+        with pytest.raises(InvalidInputError):
+            evaluate(ap, z)
+
+
 def test_lelong_golden():
     assert lelong_of_psi_m(build_approx(Fraction(3, 4), 2)) == ExtRational("1/2")
     assert lelong_of_psi_m(build_approx(Fraction(1), 3)) == ExtRational(1)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -687,6 +688,65 @@ def test_config_file_errors(capsys, tmp_path):
     rc, _, err = run(capsys, "lct", "--spec", "diag:2", "--config", str(bad))
     assert rc == 1
     assert "key=value" in err
+    assert run(capsys, "lct", "--spec", "diag:2", "--config")[:2] == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv, lines, message",
+    [
+        (["lct", "--spec", "diag:2"], ["format=csv", "# note", "colour=red"], "no flag --colour"),
+        # a flag of another command is not a flag of this one
+        (["lct", "--spec", "diag:2"], ["", "refined=true"], "no flag --refined"),
+        (["fano", "scan"], ["max_weight=12", "spec=diag:2"], "no flag --spec"),
+        (["fano-scan"], ["max_weight=12", "refined=maybe"], "--refined takes true or false"),
+    ],
+    ids=["unknown", "other-command", "nested", "not-a-boolean"],
+)
+def test_config_key_must_be_a_flag_of_the_command(capsys, tmp_path, argv, lines, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {cfg}:{len(lines)}: ") and message in err
+
+
+def test_config_repeated_key_keeps_its_last_value(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kmax=20\nkmax=25\n")
+    rc, out, _ = run(capsys, "bergman", "--c", "3/4", "--m", "2", "--config", str(cfg))
+    assert (rc, json.loads(out)["k_max"]) == (0, 25)
+    cfg.write_text("refined=true\nmax_weight=20\nmin_a0=3\nrefined=false\n")
+    rc, out, _ = run(capsys, "fano-scan", "--config", str(cfg))
+    assert rc == 0 and out == run(capsys, "fano-scan", "--max-weight", "20", "--min-a0", "3")[1]
+
+
+def test_config_boolean_and_dash_values_are_the_flags(capsys, tmp_path):
+    # log_correction is found as a store_true flag of its command; a value
+    # starting with "-" is the flag's value, not another flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("log_correction=TRUE\nt=-0.5,0\nformat=csv\n")
+    rc, out, _ = run(capsys, "semicontinuity", *FAST_FIT, "--config", str(cfg))
+    explicit = run(capsys, "semicontinuity", *FAST_FIT, "--log-correction", "--t=-0.5,0",
+                   "--format", "csv")
+    assert rc == 0 and (rc, out) == explicit[:2]
+
+
+def test_config_of_many_lines_is_read_in_linear_time(capsys, tmp_path):
+    # argparse's parse time grows with the square of its token count; one
+    # token per flag keeps it flat however long the file is
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=json\n")
+    one = run(capsys, "lct", "--spec", "diag:2", "--config", str(cfg))
+    cfg.write_text("format=json\n" * 32768)
+    start = time.perf_counter()
+    many = run(capsys, "lct", "--spec", "diag:2", "--config", str(cfg))
+    assert time.perf_counter() - start < 1.0
+    assert many == one and one[0] == 0
+    cfg.write_text("".join(f"key{i}=value\n" for i in range(32768)))
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "lct", "--spec", "diag:2", "--config", str(cfg))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and f"{cfg}:1: " in err
 
 
 # no "/" so that an out= or resolution= value names a file in the working

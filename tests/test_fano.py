@@ -692,6 +692,58 @@ def test_scan_empty_box():
     assert report.certified == ()
 
 
+# Reid's 95 weight systems (a0, a1, a2, a3, d) of quasi-smooth K3 surfaces
+# X_d in P(a0, a1, a2, a3) with d = a0 + a1 + a2 + a3, in degree order, as
+# listed by Iano-Fletcher, "Working with weighted complete intersections"
+# (2000), after Reid, "Canonical 3-folds" (1980)
+REID_95 = [
+    (1, 1, 1, 1, 4), (1, 1, 1, 2, 5), (1, 1, 1, 3, 6), (1, 1, 2, 2, 6), (1, 1, 2, 3, 7),
+    (1, 1, 2, 4, 8), (1, 2, 2, 3, 8), (1, 1, 3, 4, 9), (1, 2, 3, 3, 9), (1, 1, 3, 5, 10),
+    (1, 2, 2, 5, 10), (1, 2, 3, 4, 10), (1, 2, 3, 5, 11), (1, 1, 4, 6, 12), (1, 2, 3, 6, 12),
+    (1, 2, 4, 5, 12), (1, 3, 4, 4, 12), (2, 2, 3, 5, 12), (2, 3, 3, 4, 12), (1, 3, 4, 5, 13),
+    (1, 2, 4, 7, 14), (2, 2, 3, 7, 14), (2, 3, 4, 5, 14), (1, 2, 5, 7, 15), (1, 3, 4, 7, 15),
+    (1, 3, 5, 6, 15), (2, 3, 5, 5, 15), (3, 3, 4, 5, 15), (1, 2, 5, 8, 16), (1, 3, 4, 8, 16),
+    (1, 4, 5, 6, 16), (2, 3, 4, 7, 16), (2, 3, 5, 7, 17), (1, 2, 6, 9, 18), (1, 3, 5, 9, 18),
+    (1, 4, 6, 7, 18), (2, 3, 4, 9, 18), (2, 3, 5, 8, 18), (3, 4, 5, 6, 18), (3, 4, 5, 7, 19),
+    (1, 4, 5, 10, 20), (2, 3, 5, 10, 20), (2, 4, 5, 9, 20), (2, 5, 6, 7, 20), (3, 4, 5, 8, 20),
+    (1, 3, 7, 10, 21), (1, 5, 7, 8, 21), (2, 3, 7, 9, 21), (3, 5, 6, 7, 21), (1, 3, 7, 11, 22),
+    (1, 4, 6, 11, 22), (2, 4, 5, 11, 22), (1, 3, 8, 12, 24), (1, 6, 8, 9, 24),
+    (2, 3, 7, 12, 24), (2, 3, 8, 11, 24), (3, 4, 5, 12, 24), (3, 4, 7, 10, 24),
+    (3, 6, 7, 8, 24), (4, 5, 6, 9, 24), (4, 5, 7, 9, 25), (1, 5, 7, 13, 26), (2, 3, 8, 13, 26),
+    (2, 5, 6, 13, 26), (2, 5, 9, 11, 27), (5, 6, 7, 9, 27), (1, 4, 9, 14, 28),
+    (3, 4, 7, 14, 28), (4, 6, 7, 11, 28), (1, 4, 10, 15, 30), (1, 6, 8, 15, 30),
+    (2, 3, 10, 15, 30), (2, 6, 7, 15, 30), (3, 4, 10, 13, 30), (4, 5, 6, 15, 30),
+    (5, 6, 8, 11, 30), (2, 5, 9, 16, 32), (4, 5, 7, 16, 32), (3, 5, 11, 14, 33),
+    (3, 4, 10, 17, 34), (4, 6, 7, 17, 34), (1, 5, 12, 18, 36), (3, 4, 11, 18, 36),
+    (7, 8, 9, 12, 36), (3, 5, 11, 19, 38), (5, 6, 8, 19, 38), (5, 7, 8, 20, 40),
+    (1, 6, 14, 21, 42), (2, 5, 14, 21, 42), (3, 4, 14, 21, 42), (4, 5, 13, 22, 44),
+    (3, 5, 16, 24, 48), (7, 8, 10, 25, 50), (4, 5, 18, 27, 54), (5, 6, 22, 33, 66),
+]
+
+
+def _cond_i_everywhere(a, d):
+    """Pure-Python cond (i): per variable j, x_j^m or x_j^m x_k has degree d."""
+    return all(
+        any(t >= a[j] and t % a[j] == 0 for t in [d] + [d - a[k] for k in range(4) if k != j])
+        for j in range(4)
+    )
+
+
+def test_reid_95_is_the_index_0_brute_force_of_the_a3_le_40_box():
+    assert len(REID_95) == len(set(REID_95)) == 95
+    assert max(a3 for _, _, _, a3, _ in REID_95) == 33
+    assert all(d == a0 + a1 + a2 + a3 for a0, a1, a2, a3, d in REID_95)
+    assert {(1, 1, 1, 1, 4), (1, 1, 1, 2, 5), (1, 1, 2, 2, 6), (5, 6, 22, 33, 66)} <= set(REID_95)
+    # cond (i) is necessary for Fletcher's conditions and cheap in pure
+    # Python; fletcher_check, over the whole monomial list, decides the rest
+    found = [
+        (*a, sum(a))
+        for a in itertools.combinations_with_replacement(range(1, 41), 4)
+        if _cond_i_everywhere(a, sum(a)) and fletcher_check(WeightSystem(a, sum(a))).passes
+    ]
+    assert sorted(found, key=lambda row: (row[4], row)) == REID_95
+
+
 def test_scan_config_validation():
     for kwargs in (
         dict(max_a3=0),

@@ -233,8 +233,9 @@ def test_chunk_budget_charges_the_largest_chunk_drawn():
         volume._require_chunk_budget(p, 12, 10**6)
     with pytest.raises(InvalidInputError, match="131072-sample chunk"):
         estimate_sublevel_volume(p, 0.5)
+    # the sample count is the FitConfig's to check, before the budget
     with pytest.raises(InvalidInputError, match="at least 1000 samples"):
-        volume._require_chunk_budget(p, 12, 999)
+        estimate_sublevel_volume(p, 0.5, samples=999)
 
 
 def chunk_peak(p, thresholds):
@@ -613,6 +614,74 @@ def test_fit_argument_errors():
         fit_exponent("nope")
 
 
+BAD_FIT_FIELDS = [
+    {"r_min": "0.01"},
+    {"r_max": "0.1"},
+    {"r_min": math.nan},
+    {"r_min": 0.5, "r_max": 0.1},
+    {"r_max": 1.0},
+    {"r_min": 0.0},
+    {"r_max": 10**400},
+    {"grid_size": 3},
+    {"grid_size": 12.0},
+    {"samples": 999},
+    {"samples": 1e6},
+    {"samples": volume._MAX_CHUNKS * volume._CHUNK + 1},
+    {"seed": -1},
+    {"seed": True},
+    {"seed": "1"},
+    {"with_log_correction": "no"},
+    {"with_log_correction": 1},
+    {"with_log_correction": None},
+    {"workers": 0},
+    {"workers": 2.5},
+    {"workers": True},
+    {"workers": "2"},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_FIT_FIELDS, ids=lambda bad: repr(bad)[:40])
+def test_fit_config_refuses_bad_fields_when_built(monkeypatch, bad):
+    calls = []
+
+    def family(t):
+        calls.append(t)
+        return monomial_potential([1])
+
+    built = counted_generators(monkeypatch)
+    with pytest.raises(InvalidInputError):
+        FitConfig(**bad)
+    with pytest.raises(InvalidInputError):
+        fit_exponent(monomial_potential([1]), **bad)
+    with pytest.raises(InvalidInputError):
+        semicontinuity_experiment(family, [0.0, 1.0], config=FitConfig(**bad))
+    assert calls == [] and built == []
+
+
+def test_fit_config_accepts_the_edges():
+    config = FitConfig(r_min=1e-300, r_max=1 - 1e-16, grid_size=4, samples=1000, seed=0, workers=1)
+    assert config.samples == 1000
+    FitConfig(samples=volume._MAX_CHUNKS * volume._CHUNK, with_log_correction=True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: estimate_sublevel_volume(monomial_potential([1]), "0.5", samples=1000),
+        lambda: estimate_sublevel_volume(monomial_potential([1]), None, samples=1000),
+        lambda: semicontinuity_experiment(binomial_family(2, 2), [0.0], tolerance="0.1"),
+        lambda: SampledPotential(lambda c: c, 1, radius="0.5"),
+        lambda: SampledPotential(lambda c: c, 2, radius="12"),
+        lambda: SampledPotential(lambda c: c, 2, radius=(1.0, "2")),
+        lambda: SampledPotential(lambda c: c, 1, radius=True),
+    ],
+    ids=["r", "r-none", "tolerance", "radius", "radius-12", "radius-pair", "radius-bool"],
+)
+def test_non_numeric_inputs_raise_invalid_input(call):
+    with pytest.raises(InvalidInputError, match="must be a number|must be numbers"):
+        call()
+
+
 def test_fit_config_fields_are_fit_exponent_keywords():
     # fit_exponent builds a FitConfig from its keywords in this order, the
     # CLI copies its fit flags by field name, and callers run
@@ -795,9 +864,9 @@ def test_semicontinuity_mixes_moduli_and_coordinate_members(monkeypatch, workers
 
 def test_semicontinuity_checks_the_grid_before_any_draw(monkeypatch):
     built = counted_generators(monkeypatch)
-    for config in (FitConfig(r_min=0.5, r_max=0.1), FitConfig(r_max=1.0), FitConfig(grid_size=3)):
+    for bad in ({"r_min": 0.5, "r_max": 0.1}, {"r_max": 1.0}, {"grid_size": 3}):
         with pytest.raises(InvalidInputError):
-            semicontinuity_experiment(binomial_family(2, 2), [0.0, 1.0], config=config)
+            semicontinuity_experiment(binomial_family(2, 2), [0.0, 1.0], config=FitConfig(**bad))
     assert built == []
 
 
