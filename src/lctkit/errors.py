@@ -4,6 +4,7 @@ The command line layer maps these onto exit codes: invalid input exits
 with 1, insufficient data with 2, and internal consistency failures with 3.
 """
 
+import math
 from typing import Optional
 
 
@@ -46,8 +47,13 @@ def require_int(value, minimum: Optional[int], message: str) -> int:
 
 
 def require_real(value, message: str) -> float:
-    """Return ``value`` if it is an int or a float (not a bool); otherwise
-    raise InvalidInputError with ``message.format(value=value)``."""
+    """Return ``value`` as a float if it is an int or a float (not a bool)
+    that a float can hold; otherwise raise InvalidInputError with
+    ``message.format(value=value)``.  An int past the float range is
+    reported as inf: it is one, as a float, and its repr may not print."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidInputError(message.format(value=value))
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(message.format(value=math.inf)) from None

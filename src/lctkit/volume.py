@@ -17,11 +17,19 @@ One common sample set is counted against every radius of a fit grid
 (common random numbers), which makes the volume curve exactly monotone
 in r and keeps the fitted slope variance small.
 
-Potentials of the moduli alone (principal monomials, diagonal ideals and
-direct sums of those) are evaluated from the squared moduli R_i^2 u_i:
-sampling draws only the radii and neither the angles nor coordinates.
-The u_i are each chunk's first draws on either path, so the samples and
-the counts are the same as through the coordinate evaluator.
+Sampling has two forms.  Each chunk first draws u uniform on [0, 1)^n,
+and the squared moduli |z_i|^2 = R_i^2 u_i are area-uniform on the
+polydisk.  Potentials of the moduli alone (principal monomials, diagonal
+ideals and direct sums of those) are evaluated from them by their
+``moduli`` form.  Every other potential has a ``polar`` form of the
+squared moduli and the angles theta_i = 2 pi v_i, which are drawn after
+u, and only in a chunk that has such a potential.  A separated sum of
+two principal monomials (and the binomial family) evaluates
+log|z^a + c z^b| from the moduli and one cosine per sample; any other
+potential's polar form builds the interleaved coordinates
+|z_i| cos theta_i, |z_i| sin theta_i and calls its ``evaluator`` on them.
+Both forms read the same draws, so a potential's counts do not depend
+on which other potentials share its chunk.
 
 Every fit goes through one path, which fits a list of potentials on one
 shared sample set: each chunk is drawn once per polydisk, and the
@@ -63,9 +71,10 @@ _CHUNK = 1 << 17  # samples per chunk; fixed so results never depend on worker c
 _CHUNK_BYTES = 1 << 27
 
 # Bytes charged per sample and variable while a chunk is drawn and
-# evaluated; tracemalloc measures 64-72 on the coordinate path (radii,
-# angles, interleaved coordinates and the spec evaluator's complex copy)
-# and 18-28 for a potential of the moduli (squared moduli and their logs).
+# evaluated; tracemalloc measures 48-72 for the coordinate form (squared
+# moduli, angles, interleaved coordinates and the spec evaluator's complex
+# copy), 28-40 for the polar form of two monomials, and 18-28 for a
+# potential of the moduli (squared moduli and their logs).
 _COORDINATE_BYTES = 72
 _MODULI_BYTES = 32
 
@@ -111,24 +120,33 @@ class SampledPotential:
     array of squared moduli |z_i|^2.  Sampling then draws only the radii
     and builds no coordinates.
 
-    Neither function may modify its argument: sampling passes it
+    ``polar`` is the same phi as a function of the squared moduli and the
+    (N, n) angles theta_i, with z_i = |z_i| exp(i theta_i); sampling uses
+    it when there is no ``moduli`` form.  Left None, it becomes the
+    evaluator on the coordinates |z_i| cos theta_i, |z_i| sin theta_i.
+
+    No function may modify its arguments: sampling passes them
     read-only, because every potential counted on a chunk reads the same
-    array.
+    arrays.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     dimension: int
     radius: tuple[float, ...] = (1.0,)
     moduli: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    polar: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         require_int(self.dimension, 1, "dimension must be a positive integer")
         if not callable(self.evaluator):
             raise InvalidInputError("evaluator must be callable")
-        if self.moduli is not None and not callable(self.moduli):
-            raise InvalidInputError("moduli must be callable or None")
+        for name in ("moduli", "polar"):
+            if getattr(self, name) is not None and not callable(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be callable or None")
+        if self.moduli is None and self.polar is None:
+            object.__setattr__(self, "polar", _coordinate_form(self.evaluator))
         r = self.radius if isinstance(self.radius, (tuple, list, np.ndarray)) else (self.radius,)
-        r = tuple(float(require_real(x, "radii must be numbers, got {value!r}")) for x in r)
+        r = tuple(require_real(x, "radii must be numbers, got {value!r}") for x in r)
         if len(r) == 1:
             r *= self.dimension
         if len(r) != self.dimension:
@@ -144,6 +162,28 @@ class SampledPotential:
         for r in self.radius:
             vol *= math.pi * r * r
         return vol
+
+
+def _coordinate_form(
+    evaluator: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The polar form of an evaluator: it builds the interleaved coordinates
+    of the squared moduli and angles, read-only, and evaluates them."""
+
+    def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        rad = np.sqrt(sq)
+        coords = np.empty((sq.shape[0], 2 * sq.shape[1]))
+        part = np.cos(theta)
+        part *= rad
+        coords[:, 0::2] = part
+        part = np.sin(theta, out=part)
+        part *= rad
+        coords[:, 1::2] = part
+        del rad, part  # freed before the evaluator's own arrays
+        coords.flags.writeable = False
+        return evaluator(coords)
+
+    return polar
 
 
 def _log_modulus(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -222,6 +262,75 @@ def _moduli_function(spec: MonomialIdealSpec) -> Optional[Callable[[np.ndarray],
     return None
 
 
+def _column_sum(x: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """sum_i w_i x[:, i] over the nonzero weights, so a column of weight 0
+    adds nothing even where it is infinite."""
+    out = np.zeros(x.shape[0])
+    for i, w in enumerate(weights):
+        if w:
+            out += w * x[:, i]
+    return out
+
+
+def _binomial_polar(
+    left: PrincipalMonomial, right: PrincipalMonomial, c: float
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The polar form of log|z^alpha + c z^beta|, c != 0, with z^alpha on
+    the first variables and z^beta on the ones after them.
+
+    With a = |z^alpha|, b = |c z^beta| and h half the difference of their
+    phases, |z^alpha + c z^beta|^2 = (a - b)^2 + 4ab cos^2 h, where c < 0
+    turns cos^2 h into sin^2 h.  Both terms are nonnegative, so nothing
+    cancels.  They are divided by the square of the larger modulus, which
+    is computed by its log, so no square underflows: with rho the ratio of
+    the smaller modulus to the larger, phi = log max(a, b)
+    + log((1 - rho)^2 + 4 rho cos^2 h) / 2."""
+    alpha = np.array(left.exponents + (0,) * right.nvars) / 2.0
+    beta = np.array((0,) * left.nvars + right.exponents) / 2.0
+    log_c = math.log(abs(c))
+    trig = np.cos if c > 0 else np.sin
+
+    def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            log_sq = np.log(sq)
+        big = _column_sum(log_sq, alpha)
+        small = _column_sum(log_sq, beta)
+        del log_sq
+        small += log_c
+        big, small = np.maximum(big, small), np.minimum(big, small, out=small)
+        # rho, and 0 where both moduli vanish
+        rho = np.full_like(big, -np.inf)
+        np.subtract(small, big, out=rho, where=big > -np.inf)
+        rho = np.exp(rho, out=rho)
+        h = _column_sum(theta, alpha - beta)
+        cross = trig(h, out=h)
+        cross *= cross
+        cross *= rho
+        cross *= 4.0
+        gap = np.subtract(1.0, rho, out=rho)
+        gap *= gap
+        cross += gap
+        with np.errstate(divide="ignore"):
+            phi = np.log(cross, out=cross)
+        phi *= 0.5
+        phi += big
+        return phi
+
+    return polar
+
+
+def _polar_function(
+    spec: MonomialIdealSpec,
+) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """The native polar form of a separated sum of two principal monomials;
+    None for every other spec, whose potential gets the coordinate form."""
+    if isinstance(spec, SeparatedSum) and all(
+        isinstance(part, PrincipalMonomial) for part in (spec.left, spec.right)
+    ):
+        return _binomial_polar(spec.left, spec.right, 1.0)
+    return None
+
+
 def _evaluator(spec: MonomialIdealSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The evaluator of a spec's potential (see :func:`potential_from_spec`)
     on interleaved coordinates, built by recursion over the spec."""
@@ -246,9 +355,12 @@ def potential_from_spec(
     log|f|; diagonal ideals become log sum |z_i|^{m_i}; direct sums
     combine via logaddexp (the max-equivalent potential of an ideal sum).
     The potentials of principal monomials, diagonal ideals and their direct
-    sums depend only on the moduli and carry that form as ``moduli``.
+    sums depend only on the moduli and carry that form as ``moduli``; a
+    separated sum of two principal monomials carries a native ``polar``.
     """
-    return SampledPotential(_evaluator(spec), spec.nvars, radius, _moduli_function(spec))
+    return SampledPotential(
+        _evaluator(spec), spec.nvars, radius, _moduli_function(spec), _polar_function(spec)
+    )
 
 
 def monomial_potential(
@@ -269,13 +381,29 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
     """The family t -> log|z1^m + t z2^p| on the unit bidisk.
 
     At t = 0 the exact exponent is 1/m; for t != 0 it is min(1, 1/m + 1/p).
+    The member at t = 0 is the principal monomial z1^m and carries its
+    ``moduli`` form; the others carry the native ``polar`` form.
     """
     require_int(m, 1, "exponent m must be an integer >= 1, got {value!r}")
     require_int(p, 1, "exponent p must be an integer >= 1, got {value!r}")
+    left, right = PrincipalMonomial((m,)), PrincipalMonomial((p,))
 
     def make(t: float) -> SampledPotential:
-        tt = float(t)
-        return SampledPotential(_log_modulus(lambda z: z[:, 0] ** m + tt * z[:, 1] ** p), 2)
+        message = "family parameter t must be a finite number, got {value!r}"
+        tt = require_real(t, message)
+        if not math.isfinite(tt):
+            raise InvalidInputError(message.format(value=tt))
+        evaluator = _log_modulus(lambda z: z[:, 0] ** m + tt * z[:, 1] ** p)
+        if tt != 0.0:
+            return SampledPotential(evaluator, 2, polar=_binomial_polar(left, right, tt))
+
+        def moduli(sq: np.ndarray) -> np.ndarray:
+            with np.errstate(divide="ignore"):
+                phi = np.log(sq[:, 0])
+            phi *= 0.5 * m
+            return phi
+
+        return SampledPotential(evaluator, 2, moduli=moduli)
 
     return make
 
@@ -290,6 +418,7 @@ def _require_chunk_budget(p: SampledPotential, grid_size: int, samples: int = _C
     if not isinstance(p, SampledPotential):
         raise InvalidInputError("expected a SampledPotential")
     chunk = min(samples, _CHUNK)
+    # a polar form is charged what the coordinate form takes
     per_variable = _COORDINATE_BYTES if p.moduli is None else _MODULI_BYTES
     if chunk * per_variable * p.dimension + grid_size * _RADIUS_BYTES > _CHUNK_BYTES:
         raise InvalidInputError(
@@ -300,13 +429,15 @@ def _require_chunk_budget(p: SampledPotential, grid_size: int, samples: int = _C
 
 def _count_below(phi: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Per threshold, the number of phi values strictly below it, as
-    ``(phi[:, None] < thresholds[None, :]).sum(axis=0)`` counts them for
-    thresholds that are not NaN.  Each phi value lands in the slot of the
-    sorted thresholds it is below first, and the running sum of the slot
-    sizes is mapped back to the thresholds' order."""
+    ``(phi[:, None] < thresholds[None, :]).sum(axis=0)`` counts them; the
+    thresholds are not NaN, phi may be.  Each phi value lands in the slot
+    of the sorted thresholds it is below first, and the running sum of the
+    slot sizes is mapped back to the thresholds' order."""
     order = np.argsort(thresholds, kind="stable")
+    # what is not below the largest threshold (NaN included) counts nowhere
+    phi = phi[phi < thresholds[order[-1]]]
     slots = np.searchsorted(thresholds[order], phi, side="right")
-    below = np.cumsum(np.bincount(slots, minlength=order.size + 1)[:-1], dtype=np.int64)
+    below = np.cumsum(np.bincount(slots, minlength=order.size), dtype=np.int64)
     counts = np.empty_like(below)
     counts[order] = below
     return counts
@@ -322,7 +453,8 @@ def _sample_group(
     """Per potential, in order, the counts of uniform polydisk samples with
     phi < each threshold, and the volumes and binomial standard errors they
     give.  The potentials share one dimension and polydisk radius, and every
-    chunk is drawn once and counted against each of them in turn.
+    chunk is drawn once and counted against each of them in turn, through
+    its moduli form or else its polar form.
 
     Chunked so results are bit-identical for any worker count: chunk
     boundaries depend only on the sample count, chunk seeds only on the
@@ -337,42 +469,30 @@ def _sample_group(
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     radius = np.asarray(first.radius)
     n = first.dimension
-    moduli = [k for k, p in enumerate(potentials) if p.moduli is not None]
-    coordinate = [k for k, p in enumerate(potentials) if p.moduli is None]
+    angles = any(p.moduli is None for p in potentials)
 
     def one_chunk(i: int) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(children[i]))
         counts = np.empty((len(potentials), log_thresholds.size), dtype=np.int64)
-
-        def count(k: int, fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> None:
-            phi = np.asarray(fn(points), dtype=float)
+        # area-uniform on each disk: |z|^2 = R^2 u with u uniform, drawn
+        # before the angles 2 pi v, which only a polar form needs
+        sq = rng.random((sizes[i], n))
+        sq *= radius * radius
+        sq.flags.writeable = False
+        theta = None
+        if angles:
+            theta = rng.random((sizes[i], n))
+            theta *= 2.0 * np.pi
+            theta.flags.writeable = False
+        for k, p in enumerate(potentials):
+            phi = p.moduli(sq) if p.moduli is not None else p.polar(sq, theta)
+            phi = np.asarray(phi, dtype=float)
             if phi.shape != (sizes[i],):
                 raise InvalidInputError(
                     f"evaluator returned shape {phi.shape}, expected ({sizes[i]},)"
                 )
             counts[k] = _count_below(phi, log_thresholds)
-
-        # area-uniform on each disk: |z|^2 = R^2 u with u uniform, drawn
-        # before the angles v; potentials of the moduli need no angles
-        u = rng.random((sizes[i], n))
-        if moduli:
-            # in place, unless the coordinates still need u
-            sq = u.copy() if coordinate else u
-            sq *= radius * radius
-            sq.flags.writeable = False
-            for k in moduli:
-                count(k, potentials[k].moduli, sq)
-            del sq  # a copy is freed before the coordinates are built
-        if coordinate:
-            rad = np.sqrt(u, out=u)
-            rad *= radius
-            ang = (2.0 * np.pi) * rng.random((sizes[i], n))
-            coords = np.empty((sizes[i], 2 * n))
-            coords[:, 0::2] = rad * np.cos(ang)
-            coords[:, 1::2] = rad * np.sin(ang)
-            coords.flags.writeable = False
-            for k in coordinate:
-                count(k, potentials[k].evaluator, coords)
+            del phi  # one phi alive at a time
         return counts
 
     chunks = range(len(sizes))
@@ -622,12 +742,14 @@ def semicontinuity_experiment(
     """
     if not callable(family):
         raise InvalidInputError("family must map t to a SampledPotential")
-    t_values = [float(t) for t in t_values]
+    number = "family parameters t must be finite numbers, got {value!r}"
+    t_values = [require_real(t, number) for t in t_values]
     if 0.0 not in t_values:
         raise InvalidInputError("t_values must include the baseline t = 0")
     if not all(map(math.isfinite, t_values)):
         raise InvalidInputError("family parameters t must be finite")
-    if not 0.0 <= require_real(tolerance, "tolerance must be a number, got {value!r}") < math.inf:
+    tolerance = require_real(tolerance, "tolerance must be a number, got {value!r}")
+    if not 0.0 <= tolerance < math.inf:
         raise InvalidInputError("tolerance must be a finite nonnegative number")
     config = config or FitConfig()
     # _fit_all refuses a member that is not a SampledPotential before any draw

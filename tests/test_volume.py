@@ -257,7 +257,13 @@ def test_chunk_charge_is_what_one_chunk_takes():
         "ssum(ssum(mono:1;mono:1);ssum(mono:1;mono:1))", "dsum(ssum(mono:1;mono:1);diag:2,3)",
         # 31 variables; once 4262 bytes per sample, when every level copied its right block
         "dsum(mono:1;" * 30 + "mono:1" + ")" * 30,
-    )] + [binomial_family(2, 3)(1.0), zero_potential(1), zero_potential(3)]
+        "ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)",
+    )] + [
+        binomial_family(2, 3)(1.0), binomial_family(2, 3)(-0.5), binomial_family(2, 3)(0.0),
+        # the coordinate form of a native polar potential
+        SampledPotential(potential_from_spec(parse_spec("ssum(mono:1;mono:1)")).evaluator, 2),
+        zero_potential(1), zero_potential(3),
+    ]
     thresholds = np.log(np.geomspace(1e-3, 1e-1, 12))
     worst = {volume._COORDINATE_BYTES: 0.0, volume._MODULI_BYTES: 0.0}
     for p in potentials:
@@ -267,7 +273,8 @@ def test_chunk_charge_is_what_one_chunk_takes():
         assert peak <= charge
         worst[per_variable] = max(worst[per_variable], peak / (volume._CHUNK * p.dimension))
     # each path's charge is its worst measured case rounded up: 72.0 bytes per
-    # sample and variable for ssum(mono:1;mono:1), 28.0 for mono:1,0
+    # sample and variable for the coordinate form of ssum(mono:1;mono:1), 28.0
+    # for mono:1,0; the native polar form of ssum(mono:1;mono:1) takes 40.0
     assert volume._COORDINATE_BYTES - 8 < worst[volume._COORDINATE_BYTES]
     assert volume._MODULI_BYTES - 8 < worst[volume._MODULI_BYTES]
 
@@ -333,10 +340,16 @@ def test_sampling_passes_its_arrays_read_only():
         seen.append(sq.flags.writeable)
         return np.zeros(sq.shape[0])
 
+    def polar(sq, theta):
+        seen.extend([sq.flags.writeable, theta.flags.writeable])
+        return np.zeros(sq.shape[0])
+
     estimate_sublevel_volume(SampledPotential(evaluator, 2), 0.5, samples=1000, seed=SEED)
     with_moduli = SampledPotential(evaluator, 2, moduli=moduli)
     estimate_sublevel_volume(with_moduli, 0.5, samples=1000, seed=SEED)
-    assert seen == [False, False]
+    with_polar = SampledPotential(evaluator, 2, polar=polar)
+    estimate_sublevel_volume(with_polar, 0.5, samples=1000, seed=SEED)
+    assert seen == [False] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +484,11 @@ def test_only_potentials_of_the_moduli_carry_the_moduli_form():
     for text in ("ssum(mono:2;mono:3)", "dsum(mono:1;ssum(mono:2;mono:3))"):
         assert potential_from_spec(parse_spec(text)).moduli is None
     assert binomial_family(2, 3)(0.5).moduli is None
+    assert binomial_family(2, 3)(0.0).moduli is not None  # z1^2 alone
     with pytest.raises(InvalidInputError):
         SampledPotential(lambda c: c, 1, moduli="no")
+    with pytest.raises(InvalidInputError):
+        SampledPotential(lambda c: c, 1, polar="no")
 
 
 def test_moduli_sampling_draws_only_the_radii():
@@ -494,25 +510,102 @@ def test_moduli_sampling_draws_only_the_radii():
     assert seen[0].tobytes() == (np.array([0.25, 4.0]) * u).tobytes()
 
 
-@pytest.mark.parametrize("text", MODULI_SPECS)
-@pytest.mark.parametrize("radius", [1.0, 0.7, (0.6, 1.3, 0.9, 2.0)])
-def test_moduli_sampling_counts_equal_the_coordinate_path(text, radius):
-    # the same u draws give the same |z|^2 up to rounding, and so the same
-    # counts; the coordinate path of the same evaluator is the reference
-    spec = parse_spec(text)
-    radius = radius if isinstance(radius, float) else radius[: spec.nvars]
-    p = potential_from_spec(spec, radius)
+def assert_counts_equal_the_coordinate_path(p, workers):
+    # the same draws give the same |z|^2 and angles, and the coordinates up to
+    # rounding, so the same counts; the coordinate form of the same
+    # evaluator is the reference
     reference = SampledPotential(p.evaluator, p.dimension, p.radius)
     assert reference.moduli is None
     thresholds = np.log(np.geomspace(0.5, 1e-3, 9) * min(p.radius))
     for seed in (0, 1, SEED):
-        ((counts, volumes, _),) = volume._sample_group([p], thresholds, 150_000, seed, 2)
+        ((counts, volumes, _),) = volume._sample_group([p], thresholds, 150_000, seed, workers)
         ((ref_counts, ref_volumes, _),) = volume._sample_group(
             [reference], thresholds, 150_000, seed, 1
         )
         np.testing.assert_array_equal(counts, ref_counts)
         assert volumes.tobytes() == ref_volumes.tobytes()
         assert counts[0] > 0
+
+
+@pytest.mark.parametrize("text", MODULI_SPECS)
+@pytest.mark.parametrize("radius", [1.0, 0.7, (0.6, 1.3, 0.9, 2.0)])
+def test_moduli_sampling_counts_equal_the_coordinate_path(text, radius):
+    spec = parse_spec(text)
+    radius = radius if isinstance(radius, float) else radius[: spec.nvars]
+    assert_counts_equal_the_coordinate_path(potential_from_spec(spec, radius), 2)
+
+
+def polar_points(n, rng):
+    """Squared moduli and angles of 20000 points of the unit polydisk, with
+    a vanishing first coordinate, a vanishing last one, a vanishing point,
+    and z1 = z2, an exact zero of z1^m - z2^m where the evaluator is -inf."""
+    sq = rng.random((20_000, n))
+    theta = (2.0 * np.pi) * rng.random((20_000, n))
+    sq[:50, 0] = 0.0
+    sq[50:100, -1] = 0.0
+    sq[100:110] = 0.0
+    sq[110:130, 1] = sq[110:130, 0]
+    theta[110:130, 1] = theta[110:130, 0]
+    return sq, theta
+
+
+POLAR_MEMBERS = [
+    *(pytest.param(lambda t=t: binomial_family(2, 2)(t), id=f"family(2,2)({t})")
+      for t in (-1.0, 0.1, 2.0)),
+    *(pytest.param(lambda t=t: binomial_family(2, 3)(t), id=f"family(2,3)({t})")
+      for t in (-0.5, 1.0)),
+    *(pytest.param(lambda text=text: potential_from_spec(parse_spec(text)), id=text)
+      for text in ("ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)", "ssum(mono:2,0;mono:0,1)")),
+]
+
+
+@pytest.mark.parametrize("make", POLAR_MEMBERS)
+def test_polar_form_matches_the_evaluator_pointwise(make):
+    p = make()
+    assert p.moduli is None
+    sq, theta = polar_points(p.dimension, np.random.default_rng(8))
+    sq.flags.writeable = theta.flags.writeable = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = p.polar(sq, theta)
+    expected = SampledPotential(p.evaluator, p.dimension).polar(sq, theta)
+    assert not np.isnan(phi).any()
+    # log|f| near 0 has no relative precision to speak of; the evaluator's
+    # own error there is about 1e-16
+    np.testing.assert_allclose(phi, expected, rtol=1e-12, atol=1e-14)
+    assert np.isneginf(phi[100:110]).all()
+
+
+def test_family_baseline_is_the_monomial_and_draws_no_angles(monkeypatch):
+    family = binomial_family(3, 2)
+    sq, theta = polar_points(2, np.random.default_rng(10))
+    expected = SampledPotential(family(0.0).evaluator, 2).polar(sq, theta)
+    np.testing.assert_allclose(family(0.0).moduli(sq), expected, rtol=1e-12, atol=1e-14)
+
+    def no_trig(*_, **__):
+        raise AssertionError("trig called")
+
+    monkeypatch.setattr(np, "cos", no_trig)
+    monkeypatch.setattr(np, "sin", no_trig)
+    estimate_sublevel_volume(family(0.0), 0.5, samples=1000, seed=SEED)
+    estimate_sublevel_volume(family(-0.0), 0.5, samples=1000, seed=SEED)
+
+
+@pytest.mark.parametrize("t", [-1.0, -0.5, 0.0, 0.1, 1.0, 2.0])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_family_counts_equal_the_coordinate_path(t, workers):
+    assert_counts_equal_the_coordinate_path(binomial_family(2, 3)(t), workers)
+
+
+@pytest.mark.parametrize("text", ["ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)"])
+@pytest.mark.parametrize("radius", [1.0, 0.7, (0.6, 1.3, 0.9)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_polar_sampling_counts_equal_the_coordinate_path(text, radius, workers):
+    spec = parse_spec(text)
+    radius = radius if isinstance(radius, float) else radius[: spec.nvars]
+    p = potential_from_spec(spec, radius)
+    assert p.moduli is None
+    assert_counts_equal_the_coordinate_path(p, workers)
 
 
 def test_ideal_inside_separated_sum_rejected():
@@ -674,8 +767,12 @@ def test_fit_config_accepts_the_edges():
         lambda: SampledPotential(lambda c: c, 2, radius="12"),
         lambda: SampledPotential(lambda c: c, 2, radius=(1.0, "2")),
         lambda: SampledPotential(lambda c: c, 1, radius=True),
+        lambda: SampledPotential(lambda c: c, 1, radius=10**400),
     ],
-    ids=["r", "r-none", "tolerance", "radius", "radius-12", "radius-pair", "radius-bool"],
+    ids=[
+        "r", "r-none", "tolerance", "radius", "radius-12", "radius-pair", "radius-bool",
+        "radius-past-float",
+    ],
 )
 def test_non_numeric_inputs_raise_invalid_input(call):
     with pytest.raises(InvalidInputError, match="must be a number|must be numbers"):
@@ -848,8 +945,8 @@ def test_semicontinuity_samples_each_polydisk_on_its_own(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_semicontinuity_mixes_moduli_and_coordinate_members(monkeypatch, workers):
-    # one polydisk, both sampling paths: the moduli are a copy of the draws
-    # that the coordinates are then built from
+    # one polydisk, both sampling forms: the coordinates are built from the
+    # squared moduli that the moduli member reads
     def family(t):
         text = "mono:2,1" if t == 0.5 else "ssum(mono:2;mono:2)"
         return potential_from_spec(parse_spec(text), 0.8)
@@ -882,6 +979,38 @@ def test_semicontinuity_refuses_non_finite_t_before_any_draw(monkeypatch, t):
     with pytest.raises(InvalidInputError, match="t must be finite"):
         semicontinuity_experiment(family, [0.0, t], config=SMALL_FIT)
     assert called == [] and built == []
+
+
+NOT_FINITE_NUMBERS = pytest.mark.parametrize(
+    "t", ["0.5", "abc", 10**400], ids=["numeric-string", "string", "int-past-float"]
+)
+
+
+@NOT_FINITE_NUMBERS
+def test_semicontinuity_refuses_a_t_that_is_no_finite_number_before_any_draw(monkeypatch, t):
+    built = counted_generators(monkeypatch)
+    with pytest.raises(InvalidInputError, match="t must be finite numbers"):
+        semicontinuity_experiment(binomial_family(2, 2), [0.0, t], config=SMALL_FIT)
+    assert built == []
+
+
+@NOT_FINITE_NUMBERS
+def test_binomial_family_refuses_a_t_that_is_no_finite_number(t):
+    with pytest.raises(InvalidInputError, match="t must be a finite number"):
+        binomial_family(2, 2)(t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_binomial_family_refuses_a_non_finite_t(t):
+    with pytest.raises(InvalidInputError, match="t must be a finite number"):
+        binomial_family(2, 2)(t)
+
+
+def test_semicontinuity_refuses_a_tolerance_past_the_float_range_before_any_draw(monkeypatch):
+    built = counted_generators(monkeypatch)
+    with pytest.raises(InvalidInputError, match="tolerance must be a number, got inf"):
+        semicontinuity_experiment(binomial_family(2, 2), [0.0], config=SMALL_FIT, tolerance=10**400)
+    assert built == []
 
 
 def test_semicontinuity_raises_the_first_insufficient_fit_in_t_order():
