@@ -36,13 +36,20 @@ def require_int(value, minimum: Optional[int], message: str) -> int:
     """Return ``value`` if it is an int (not a bool) and at least
     ``minimum`` (no bound when None); otherwise raise InvalidInputError
     with ``message.format(value=value)``.  Formatting only on failure
-    keeps the check cheap on hot constructors."""
+    keeps the check cheap on hot constructors.  An int too long for
+    Python's int-to-str conversion (4300 digits by default) has no repr,
+    so the message shows its size."""
     if (
         not isinstance(value, int)
         or isinstance(value, bool)
         or (minimum is not None and value < minimum)
     ):
-        raise InvalidInputError(message.format(value=value))
+        try:
+            text = message.format(value=value)
+        except ValueError:
+            size = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+            text = message.replace("{value!r}", "{value}").format(value=size)
+        raise InvalidInputError(text)
     return value
 
 

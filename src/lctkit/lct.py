@@ -251,7 +251,7 @@ def lelong_sandwich(
 
 
 # Most dsum(/ssum( levels a spec may nest.  Parsing, lct_monomial,
-# spec_to_text and the volume evaluators all recurse once or twice per
+# spec_to_text and volume's potential forms all recurse once or twice per
 # level, which keeps them far inside Python's default recursion limit.
 _MAX_SPEC_DEPTH = 32
 

@@ -17,19 +17,18 @@ One common sample set is counted against every radius of a fit grid
 (common random numbers), which makes the volume curve exactly monotone
 in r and keeps the fitted slope variance small.
 
-Sampling has two forms.  Each chunk first draws u uniform on [0, 1)^n,
-and the squared moduli |z_i|^2 = R_i^2 u_i are area-uniform on the
-polydisk.  Potentials of the moduli alone (principal monomials, diagonal
-ideals and direct sums of those) are evaluated from them by their
-``moduli`` form.  Every other potential has a ``polar`` form of the
-squared moduli and the angles theta_i = 2 pi v_i, which are drawn after
-u, and only in a chunk that has such a potential.  A separated sum of
-two principal monomials (and the binomial family) evaluates
-log|z^a + c z^b| from the moduli and one cosine per sample; any other
-potential's polar form builds the interleaved coordinates
-|z_i| cos theta_i, |z_i| sin theta_i and calls its ``evaluator`` on them.
-Both forms read the same draws, so a potential's counts do not depend
-on which other potentials share its chunk.
+Every potential has one form, phi(sq, theta) of the squared moduli and
+the angles.  Each chunk first draws u uniform on [0, 1)^n, and the
+squared moduli |z_i|^2 = R_i^2 u_i are area-uniform on the polydisk; the
+angles theta_i = 2 pi v_i are drawn after u, and only in a chunk that has
+a potential of the angles.  Potentials of the moduli alone (principal
+monomials, diagonal ideals and direct sums of those) are called with
+theta None.  A separated sum of principal monomials (and the binomial
+family) evaluates log|f| from the moduli and phases of its terms, with
+no complex arithmetic; a potential given on coordinates builds
+|z_i| cos theta_i, |z_i| sin theta_i from them.  Every potential reads
+the same draws, so its counts do not depend on which other potentials
+share its chunk.
 
 Every fit goes through one path, which fits a list of potentials on one
 shared sample set: each chunk is drawn once per polydisk, and the
@@ -47,6 +46,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -71,10 +71,10 @@ _CHUNK = 1 << 17  # samples per chunk; fixed so results never depend on worker c
 _CHUNK_BYTES = 1 << 27
 
 # Bytes charged per sample and variable while a chunk is drawn and
-# evaluated; tracemalloc measures 48-72 for the coordinate form (squared
-# moduli, angles, interleaved coordinates and the spec evaluator's complex
-# copy), 28-40 for the polar form of two monomials, and 18-28 for a
-# potential of the moduli (squared moduli and their logs).
+# evaluated: a potential of the angles is charged what one given on
+# coordinates takes, which tracemalloc measures at 48-72 (squared moduli,
+# angles, interleaved coordinates and a complex copy in the evaluator);
+# separated sums take 32-40, and potentials of the moduli 13-28.
 _COORDINATE_BYTES = 72
 _MODULI_BYTES = 32
 
@@ -111,40 +111,30 @@ def _worker_count(requested: Optional[int]) -> int:
 class SampledPotential:
     """A potential phi on a polydisk, evaluated on batches of points.
 
-    ``evaluator`` maps an (N, 2n) float array of interleaved real
-    coordinates (Re z1, Im z1, ..., Re zn, Im zn) to an (N,) array of
-    phi values; -inf is allowed (log of a vanishing modulus).  It must
-    be deterministic and total on the closed polydisk.
+    ``phi(sq, theta)`` maps the (N, n) array of squared moduli |z_i|^2
+    and the (N, n) array of angles theta_i, with z_i = |z_i| exp(i theta_i),
+    to an (N,) array of phi values; -inf is allowed (log of a vanishing
+    modulus).  It must be deterministic and total on the closed polydisk.
+    With ``angles`` False, phi depends on the moduli alone: it is called
+    with theta None, and sampling draws no angles for it.  A potential on
+    the coordinates (Re z1, Im z1, ..., Re zn, Im zn) is built by
+    :meth:`from_evaluator`.
 
-    ``moduli``, if given, is the same phi as a function of the (N, n)
-    array of squared moduli |z_i|^2.  Sampling then draws only the radii
-    and builds no coordinates.
-
-    ``polar`` is the same phi as a function of the squared moduli and the
-    (N, n) angles theta_i, with z_i = |z_i| exp(i theta_i); sampling uses
-    it when there is no ``moduli`` form.  Left None, it becomes the
-    evaluator on the coordinates |z_i| cos theta_i, |z_i| sin theta_i.
-
-    No function may modify its arguments: sampling passes them
-    read-only, because every potential counted on a chunk reads the same
-    arrays.
+    phi may not modify its arguments: sampling passes them read-only,
+    because every potential counted on a chunk reads the same arrays.
     """
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    phi: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
     dimension: int
     radius: tuple[float, ...] = (1.0,)
-    moduli: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    polar: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    angles: bool = True
 
     def __post_init__(self):
         require_int(self.dimension, 1, "dimension must be a positive integer")
-        if not callable(self.evaluator):
-            raise InvalidInputError("evaluator must be callable")
-        for name in ("moduli", "polar"):
-            if getattr(self, name) is not None and not callable(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be callable or None")
-        if self.moduli is None and self.polar is None:
-            object.__setattr__(self, "polar", _coordinate_form(self.evaluator))
+        if not callable(self.phi):
+            raise InvalidInputError("phi must be callable")
+        if not isinstance(self.angles, bool):
+            raise InvalidInputError("angles must be True or False")
         r = self.radius if isinstance(self.radius, (tuple, list, np.ndarray)) else (self.radius,)
         r = tuple(require_real(x, "radii must be numbers, got {value!r}") for x in r)
         if len(r) == 1:
@@ -155,6 +145,39 @@ class SampledPotential:
             raise InvalidInputError("polydisk radii must be positive and finite")
         object.__setattr__(self, "radius", r)
 
+    @classmethod
+    def from_evaluator(
+        cls,
+        evaluator: Callable[[np.ndarray], np.ndarray],
+        dimension: int,
+        radius: Union[float, Sequence[float]] = 1.0,
+    ) -> SampledPotential:
+        """The potential whose ``evaluator`` maps an (N, 2n) array of
+        interleaved real coordinates to an (N,) array of phi values.  Its
+        phi builds those coordinates, read-only, and evaluates them."""
+        if not callable(evaluator):
+            raise InvalidInputError("evaluator must be callable")
+
+        def phi(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
+            rad = np.sqrt(sq)
+            coords = np.empty((sq.shape[0], 2 * sq.shape[1]))
+            part = np.cos(theta)
+            part *= rad
+            coords[:, 0::2] = part
+            part = np.sin(theta, out=part)
+            part *= rad
+            coords[:, 1::2] = part
+            del rad, part  # freed before the evaluator's own arrays
+            coords.flags.writeable = False
+            return evaluator(coords)
+
+        return cls(phi, dimension, radius)
+
+    def evaluator(self, coords: np.ndarray) -> np.ndarray:
+        """phi on an (N, 2n) array of interleaved real coordinates."""
+        x, y = coords[:, 0::2], coords[:, 1::2]
+        return self.phi(x**2 + y**2, np.arctan2(y, x) if self.angles else None)
+
     @property
     def polydisk_volume(self) -> float:
         """Lebesgue volume of the sampling polydisk, prod pi*R_i^2."""
@@ -162,104 +185,6 @@ class SampledPotential:
         for r in self.radius:
             vol *= math.pi * r * r
         return vol
-
-
-def _coordinate_form(
-    evaluator: Callable[[np.ndarray], np.ndarray]
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The polar form of an evaluator: it builds the interleaved coordinates
-    of the squared moduli and angles, read-only, and evaluates them."""
-
-    def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        rad = np.sqrt(sq)
-        coords = np.empty((sq.shape[0], 2 * sq.shape[1]))
-        part = np.cos(theta)
-        part *= rad
-        coords[:, 0::2] = part
-        part = np.sin(theta, out=part)
-        part *= rad
-        coords[:, 1::2] = part
-        del rad, part  # freed before the evaluator's own arrays
-        coords.flags.writeable = False
-        return evaluator(coords)
-
-    return polar
-
-
-def _log_modulus(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """The evaluator log|f| of a holomorphic function ``fn`` of the (N, n)
-    complex coordinates."""
-
-    def evaluator(coords: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(fn(coords[:, 0::2] + 1j * coords[:, 1::2])))
-
-    return evaluator
-
-
-def _complex_function(spec: MonomialIdealSpec, offset: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The holomorphic function a spec denotes, viewed on a variable block
-    starting at ``offset``.  Only principal monomials and separated sums
-    denote single functions; ideals do not."""
-    if isinstance(spec, PrincipalMonomial):
-        exps = spec.exponents
-
-        def fn(z: np.ndarray) -> np.ndarray:
-            out = np.ones(z.shape[0], dtype=complex)
-            for i, e in enumerate(exps):
-                if e:
-                    out = out * z[:, offset + i] ** e
-            return out
-
-        return fn
-    if isinstance(spec, SeparatedSum):
-        left = _complex_function(spec.left, offset)
-        right = _complex_function(spec.right, offset + spec.left.nvars)
-        return lambda z: left(z) + right(z)
-    raise InvalidInputError(
-        "only principal monomials and separated sums denote a single function; "
-        f"cannot sample {type(spec).__name__} inside a separated sum"
-    )
-
-
-def _moduli_function(spec: MonomialIdealSpec) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """The potential of a spec as a function of the (N, n) squared moduli,
-    for principal monomials, diagonal ideals and direct sums of those;
-    None for specs whose potential also depends on the angles."""
-    # Each leaf takes a contiguous copy of its block, which a direct sum
-    # passes down as a column view, so it sees the bytes it would see on its
-    # own (numpy may run other SIMD loops on strided data) and only one
-    # block's copy is alive at a time.
-    if isinstance(spec, PrincipalMonomial):
-        alpha = np.asarray(spec.exponents, dtype=float)
-        unused = alpha == 0
-
-        def monomial(sq: np.ndarray) -> np.ndarray:
-            sq = np.ascontiguousarray(sq)
-            if unused.any():
-                # log 1 = 0: a vanishing coordinate of exponent 0 adds nothing,
-                # where 0 * log 0 would make the sum NaN
-                sq = np.where(unused, 1.0, sq)
-            with np.errstate(divide="ignore"):
-                return 0.5 * (np.log(sq) @ alpha)
-
-        return monomial
-    if isinstance(spec, Diagonal):
-        half = np.asarray(spec.orders, dtype=float) / 2.0
-
-        def diagonal(sq: np.ndarray) -> np.ndarray:
-            sq = np.ascontiguousarray(sq)
-            with np.errstate(divide="ignore"):
-                return np.log(np.sum(sq**half, axis=1))
-
-        return diagonal
-    if isinstance(spec, DirectSum):
-        left, right = _moduli_function(spec.left), _moduli_function(spec.right)
-        if left is None or right is None:
-            return None
-        k = spec.left.nvars
-        return lambda sq: np.logaddexp(left(sq[:, :k]), right(sq[:, k:]))
-    return None
 
 
 def _column_sum(x: np.ndarray, weights: Sequence[float]) -> np.ndarray:
@@ -319,30 +244,101 @@ def _binomial_polar(
     return polar
 
 
-def _polar_function(
-    spec: MonomialIdealSpec,
-) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """The native polar form of a separated sum of two principal monomials;
-    None for every other spec, whose potential gets the coordinate form."""
-    if isinstance(spec, SeparatedSum) and all(
-        isinstance(part, PrincipalMonomial) for part in (spec.left, spec.right)
-    ):
-        return _binomial_polar(spec.left, spec.right, 1.0)
-    return None
+def _polynomial_polar(
+    terms: Sequence[PrincipalMonomial],
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The polar form of log|z^alpha_1 + ... + z^alpha_k|, each monomial on
+    the variables after those of the one before it.
+
+    Term j has log-modulus l_j = sum_i alpha_ji log|z_i| and phase
+    sum_i alpha_ji theta_i.  With l the largest l_j and w_j = exp(l_j - l)
+    <= 1, the sum is exp(l) (Re + i Im) with Re and Im the sums of w_j
+    times the cosines and the sines of the phases, so phi = l
+    + log(Re^2 + Im^2) / 2, and no modulus underflows."""
+    offsets = accumulate((term.nvars for term in terms), initial=0)
+    blocks = [(slice(k, k + t.nvars), np.array(t.exponents) / 2) for k, t in zip(offsets, terms)]
+
+    def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            log_sq = np.log(sq)
+        logs = np.empty((len(blocks), sq.shape[0]))
+        for log_j, (block, half) in zip(logs, blocks):
+            log_j[:] = _column_sum(log_sq[:, block], half)
+        del log_sq
+        big = logs.max(axis=0)
+        re, im = np.zeros_like(big), np.zeros_like(big)
+        for w, (block, half) in zip(logs, blocks):
+            # w_j, and 0 where every term vanishes
+            np.subtract(w, big, out=w, where=big > -np.inf)
+            w = np.exp(w, out=w)
+            phase = _column_sum(theta[:, block], 2.0 * half)
+            re += w * np.cos(phase)
+            im += w * np.sin(phase, out=phase)
+        modulus = np.hypot(re, im, out=re)
+        with np.errstate(divide="ignore"):
+            phi = np.log(modulus, out=modulus)
+        phi += big
+        return phi
+
+    return polar
 
 
-def _evaluator(spec: MonomialIdealSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The evaluator of a spec's potential (see :func:`potential_from_spec`)
-    on interleaved coordinates, built by recursion over the spec."""
-    moduli = _moduli_function(spec)
-    if moduli is not None:
-        return lambda coords: moduli(coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2)
-    if isinstance(spec, DirectSum):
-        left, right = _evaluator(spec.left), _evaluator(spec.right)
-        off = 2 * spec.left.nvars
-        return lambda coords: np.logaddexp(left(coords[:, :off]), right(coords[:, off:]))
+def _monomials(spec: MonomialIdealSpec) -> list[PrincipalMonomial]:
+    """The terms of a separated sum of principal monomials, in order."""
+    if isinstance(spec, PrincipalMonomial):
+        return [spec]
     if isinstance(spec, SeparatedSum):
-        return _log_modulus(_complex_function(spec, 0))
+        return _monomials(spec.left) + _monomials(spec.right)
+    raise InvalidInputError(
+        "only principal monomials and separated sums denote a single function; "
+        f"cannot sample {type(spec).__name__} inside a separated sum"
+    )
+
+
+def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool]:
+    """The phi of a spec's potential (see :func:`potential_from_spec`) and
+    whether it reads the angles, built by recursion over the spec."""
+    # Each leaf of the moduli takes a contiguous copy of its block, which a
+    # direct sum passes down as a column view, so it sees the bytes it would
+    # see on its own (numpy may run other SIMD loops on strided data) and
+    # only one block's copy is alive at a time.
+    if isinstance(spec, PrincipalMonomial):
+        alpha = np.asarray(spec.exponents, dtype=float)
+        unused = alpha == 0
+
+        def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
+            sq = np.ascontiguousarray(sq)
+            if unused.any():
+                # log 1 = 0: a vanishing coordinate of exponent 0 adds nothing,
+                # where 0 * log 0 would make the sum NaN
+                sq = np.where(unused, 1.0, sq)
+            with np.errstate(divide="ignore"):
+                return 0.5 * (np.log(sq) @ alpha)
+
+        return monomial, False
+    if isinstance(spec, Diagonal):
+        half = np.asarray(spec.orders, dtype=float) / 2.0
+
+        def diagonal(sq: np.ndarray, theta: None) -> np.ndarray:
+            sq = np.ascontiguousarray(sq)
+            with np.errstate(divide="ignore"):
+                return np.log(np.sum(sq**half, axis=1))
+
+        return diagonal, False
+    if isinstance(spec, DirectSum):
+        (left, left_angles), (right, right_angles) = _form(spec.left), _form(spec.right)
+        k = spec.left.nvars
+
+        def direct_sum(sq: np.ndarray, theta: Optional[np.ndarray]) -> np.ndarray:
+            return np.logaddexp(
+                left(sq[:, :k], theta[:, :k] if left_angles else None),
+                right(sq[:, k:], theta[:, k:] if right_angles else None),
+            )
+
+        return direct_sum, left_angles or right_angles
+    if isinstance(spec, SeparatedSum):
+        terms = _monomials(spec)
+        return (_binomial_polar(*terms, 1.0) if len(terms) == 2 else _polynomial_polar(terms)), True
     raise InvalidInputError(f"expected a monomial ideal spec, got {type(spec).__name__}")
 
 
@@ -355,12 +351,11 @@ def potential_from_spec(
     log|f|; diagonal ideals become log sum |z_i|^{m_i}; direct sums
     combine via logaddexp (the max-equivalent potential of an ideal sum).
     The potentials of principal monomials, diagonal ideals and their direct
-    sums depend only on the moduli and carry that form as ``moduli``; a
-    separated sum of two principal monomials carries a native ``polar``.
+    sums depend only on the moduli and read no angles.  A separated sum is
+    evaluated in polar form from its monomials' moduli and phases.
     """
-    return SampledPotential(
-        _evaluator(spec), spec.nvars, radius, _moduli_function(spec), _polar_function(spec)
-    )
+    phi, angles = _form(spec)
+    return SampledPotential(phi, spec.nvars, radius, angles)
 
 
 def monomial_potential(
@@ -381,8 +376,8 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
     """The family t -> log|z1^m + t z2^p| on the unit bidisk.
 
     At t = 0 the exact exponent is 1/m; for t != 0 it is min(1, 1/m + 1/p).
-    The member at t = 0 is the principal monomial z1^m and carries its
-    ``moduli`` form; the others carry the native ``polar`` form.
+    The member at t = 0 is the principal monomial z1^m and reads no
+    angles; the others are evaluated in the polar form of a binomial.
     """
     require_int(m, 1, "exponent m must be an integer >= 1, got {value!r}")
     require_int(p, 1, "exponent p must be an integer >= 1, got {value!r}")
@@ -393,17 +388,16 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
         tt = require_real(t, message)
         if not math.isfinite(tt):
             raise InvalidInputError(message.format(value=tt))
-        evaluator = _log_modulus(lambda z: z[:, 0] ** m + tt * z[:, 1] ** p)
         if tt != 0.0:
-            return SampledPotential(evaluator, 2, polar=_binomial_polar(left, right, tt))
+            return SampledPotential(_binomial_polar(left, right, tt), 2)
 
-        def moduli(sq: np.ndarray) -> np.ndarray:
+        def moduli(sq: np.ndarray, theta: None) -> np.ndarray:
             with np.errstate(divide="ignore"):
                 phi = np.log(sq[:, 0])
             phi *= 0.5 * m
             return phi
 
-        return SampledPotential(evaluator, 2, moduli=moduli)
+        return SampledPotential(moduli, 2, angles=False)
 
     return make
 
@@ -418,8 +412,8 @@ def _require_chunk_budget(p: SampledPotential, grid_size: int, samples: int = _C
     if not isinstance(p, SampledPotential):
         raise InvalidInputError("expected a SampledPotential")
     chunk = min(samples, _CHUNK)
-    # a polar form is charged what the coordinate form takes
-    per_variable = _COORDINATE_BYTES if p.moduli is None else _MODULI_BYTES
+    # a potential of the angles is charged what the coordinate form takes
+    per_variable = _COORDINATE_BYTES if p.angles else _MODULI_BYTES
     if chunk * per_variable * p.dimension + grid_size * _RADIUS_BYTES > _CHUNK_BYTES:
         raise InvalidInputError(
             f"{grid_size} radii in dimension {p.dimension} need over "
@@ -453,8 +447,7 @@ def _sample_group(
     """Per potential, in order, the counts of uniform polydisk samples with
     phi < each threshold, and the volumes and binomial standard errors they
     give.  The potentials share one dimension and polydisk radius, and every
-    chunk is drawn once and counted against each of them in turn, through
-    its moduli form or else its polar form.
+    chunk is drawn once and counted against each of them in turn.
 
     Chunked so results are bit-identical for any worker count: chunk
     boundaries depend only on the sample count, chunk seeds only on the
@@ -469,13 +462,13 @@ def _sample_group(
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     radius = np.asarray(first.radius)
     n = first.dimension
-    angles = any(p.moduli is None for p in potentials)
+    angles = any(p.angles for p in potentials)
 
     def one_chunk(i: int) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(children[i]))
         counts = np.empty((len(potentials), log_thresholds.size), dtype=np.int64)
         # area-uniform on each disk: |z|^2 = R^2 u with u uniform, drawn
-        # before the angles 2 pi v, which only a polar form needs
+        # before the angles 2 pi v, which only a potential of the angles reads
         sq = rng.random((sizes[i], n))
         sq *= radius * radius
         sq.flags.writeable = False
@@ -485,11 +478,10 @@ def _sample_group(
             theta *= 2.0 * np.pi
             theta.flags.writeable = False
         for k, p in enumerate(potentials):
-            phi = p.moduli(sq) if p.moduli is not None else p.polar(sq, theta)
-            phi = np.asarray(phi, dtype=float)
+            phi = np.asarray(p.phi(sq, theta if p.angles else None), dtype=float)
             if phi.shape != (sizes[i],):
                 raise InvalidInputError(
-                    f"evaluator returned shape {phi.shape}, expected ({sizes[i]},)"
+                    f"phi returned shape {phi.shape}, expected ({sizes[i]},)"
                 )
             counts[k] = _count_below(phi, log_thresholds)
             del phi  # one phi alive at a time

@@ -1,6 +1,7 @@
 """Monte-Carlo sublevel volumes: closed-form agreement, determinism,
 fit behavior, and serialization."""
 
+import importlib
 import inspect
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lctkit
-from lctkit import cli, volume
+from lctkit import cli, fano, volume
 from lctkit import (
     Diagonal,
     DirectSum,
@@ -41,7 +42,7 @@ SEED = 20240915
 
 
 def zero_potential(n=1):
-    return SampledPotential(lambda coords: np.zeros(coords.shape[0]), n)
+    return SampledPotential.from_evaluator(lambda coords: np.zeros(coords.shape[0]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +74,7 @@ def test_empty_sublevel_set():
 
 
 def test_scaled_polydisk_volume():
-    p = SampledPotential(lambda c: np.zeros(c.shape[0]), 2, radius=(2.0, 0.5))
+    p = SampledPotential.from_evaluator(lambda c: np.zeros(c.shape[0]), 2, radius=(2.0, 0.5))
     assert p.polydisk_volume == pytest.approx(math.pi * 4 * math.pi * 0.25)
 
 
@@ -204,17 +205,17 @@ def test_chunk_budget_is_checked_before_any_draw():
 
     # 2^17 samples x 72 bytes x 15 variables passes 128 MiB
     with pytest.raises(InvalidInputError, match="MiB"):
-        estimate_sublevel_volume(SampledPotential(evaluator, 15), 0.5, samples=10**6)
+        estimate_sublevel_volume(SampledPotential.from_evaluator(evaluator, 15), 0.5, samples=10**6)
     with pytest.raises(InvalidInputError, match="MiB"):
-        fit_exponent(SampledPotential(evaluator, 2), grid_size=225281)
+        fit_exponent(SampledPotential.from_evaluator(evaluator, 2), grid_size=225281)
     assert calls == []
     # 2^17 x 72 x 2 bytes of draws + 225280 radii x 512 bytes is exactly the budget
-    volume._require_chunk_budget(SampledPotential(evaluator, 2), 225280)
-    volume._require_chunk_budget(SampledPotential(evaluator, 14), 4096)
+    volume._require_chunk_budget(SampledPotential.from_evaluator(evaluator, 2), 225280)
+    volume._require_chunk_budget(SampledPotential.from_evaluator(evaluator, 14), 4096)
     with pytest.raises(InvalidInputError, match="MiB"):
-        volume._require_chunk_budget(SampledPotential(evaluator, 14), 4097)
+        volume._require_chunk_budget(SampledPotential.from_evaluator(evaluator, 14), 4097)
     # a potential of the moduli is charged 32 bytes per sample and variable
-    moduli = SampledPotential(evaluator, 31, moduli=lambda sq: sq[:, 0])
+    moduli = SampledPotential(lambda sq, theta: sq[:, 0], 31, angles=False)
     volume._require_chunk_budget(moduli, 8192)
     with pytest.raises(InvalidInputError, match="MiB"):
         volume._require_chunk_budget(moduli, 8193)
@@ -224,10 +225,10 @@ def test_chunk_budget_is_checked_before_any_draw():
 
 
 def test_chunk_budget_charges_the_largest_chunk_drawn():
-    # 33 variables on the coordinate path: a 20000-sample chunk takes about
-    # 43 MB, a full 2^17-sample chunk about 280 MB
+    # 33 variables with angles are charged 72 bytes per sample and variable:
+    # 47.5 MB for a 20000-sample chunk, 311 MB for a full 2^17-sample chunk
     p = potential_from_spec(parse_spec("ssum(mono:1;" * 32 + "mono:1" + ")" * 32))
-    assert p.moduli is None and p.dimension == 33
+    assert p.angles and p.dimension == 33
     volume._require_chunk_budget(p, 12, 20000)
     with pytest.raises(InvalidInputError, match="131072-sample chunk"):
         volume._require_chunk_budget(p, 12, 10**6)
@@ -258,23 +259,24 @@ def test_chunk_charge_is_what_one_chunk_takes():
         # 31 variables; once 4262 bytes per sample, when every level copied its right block
         "dsum(mono:1;" * 30 + "mono:1" + ")" * 30,
         "ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)",
+        "ssum(mono:2;ssum(mono:3;mono:0,5))", "dsum(mono:1;ssum(mono:2;mono:3))",
     )] + [
         binomial_family(2, 3)(1.0), binomial_family(2, 3)(-0.5), binomial_family(2, 3)(0.0),
-        # the coordinate form of a native polar potential
-        SampledPotential(potential_from_spec(parse_spec("ssum(mono:1;mono:1)")).evaluator, 2),
+        # the coordinate form of a polar potential
+        SampledPotential.from_evaluator(coordinate_reference(parse_spec("ssum(mono:1;mono:1)")), 2),
         zero_potential(1), zero_potential(3),
     ]
     thresholds = np.log(np.geomspace(1e-3, 1e-1, 12))
     worst = {volume._COORDINATE_BYTES: 0.0, volume._MODULI_BYTES: 0.0}
     for p in potentials:
-        per_variable = volume._COORDINATE_BYTES if p.moduli is None else volume._MODULI_BYTES
+        per_variable = volume._COORDINATE_BYTES if p.angles else volume._MODULI_BYTES
         peak = chunk_peak(p, thresholds)
         charge = volume._CHUNK * per_variable * p.dimension + thresholds.size * volume._RADIUS_BYTES
         assert peak <= charge
         worst[per_variable] = max(worst[per_variable], peak / (volume._CHUNK * p.dimension))
     # each path's charge is its worst measured case rounded up: 72.0 bytes per
     # sample and variable for the coordinate form of ssum(mono:1;mono:1), 28.0
-    # for mono:1,0; the native polar form of ssum(mono:1;mono:1) takes 40.0
+    # for mono:1,0; the polar forms of separated sums take 32.0-40.0
     assert volume._COORDINATE_BYTES - 8 < worst[volume._COORDINATE_BYTES]
     assert volume._MODULI_BYTES - 8 < worst[volume._MODULI_BYTES]
 
@@ -287,7 +289,7 @@ def test_semicontinuity_charges_the_rows_of_every_fit():
             calls.append(t)
             return np.zeros(coords.shape[0])
 
-        return SampledPotential(evaluator, 2)
+        return SampledPotential.from_evaluator(evaluator, 2)
 
     # one fit of 100000 radii is within the budget; the report of three is not
     volume._require_chunk_budget(family(0.0), 100000)
@@ -318,10 +320,31 @@ def test_potential_validation():
         SampledPotential(lambda c: c, 2, radius=(1.0, 2.0, 3.0))
     with pytest.raises(InvalidInputError):
         SampledPotential(lambda c: c, 1, radius=(0.0,))
+    with pytest.raises(InvalidInputError, match="phi must be callable"):
+        SampledPotential(None, 1)
+    for angles in ("no", 1, None):
+        with pytest.raises(InvalidInputError, match="angles must be True or False"):
+            SampledPotential(lambda sq, theta: sq[:, 0], 1, angles=angles)
+    with pytest.raises(InvalidInputError, match="evaluator must be callable"):
+        SampledPotential.from_evaluator("no", 1)
+    with pytest.raises(InvalidInputError):
+        SampledPotential.from_evaluator(lambda c: c, 0)
+
+
+def test_ints_too_long_to_print_are_refused_by_size():
+    # Python refuses to repr an int of more than 4300 digits
+    calls = [
+        (lambda: FitConfig(workers=-(10**5000)), "workers"),
+        (lambda: binomial_family(-(10**5000), 2), "exponent m"),
+        (lambda: fano.WeightSystem((1, 1, 1, -(10**5000)), 3), "weights"),
+    ]
+    for call, name in calls:
+        with pytest.raises(InvalidInputError, match=f"{name}.*a negative integer of 16610 bits"):
+            call()
 
 
 def test_evaluator_shape_is_checked():
-    bad = SampledPotential(lambda coords: np.zeros((coords.shape[0], 2)), 1)
+    bad = SampledPotential.from_evaluator(lambda coords: np.zeros((coords.shape[0], 2)), 1)
     with pytest.raises(InvalidInputError):
         estimate_sublevel_volume(bad, 0.5, samples=1000, seed=SEED)
 
@@ -336,20 +359,24 @@ def test_sampling_passes_its_arrays_read_only():
             coords[0, 0] = 0.0
         return np.zeros(coords.shape[0])
 
-    def moduli(sq):
+    def moduli(sq, theta):
         seen.append(sq.flags.writeable)
+        assert theta is None
         return np.zeros(sq.shape[0])
 
     def polar(sq, theta):
         seen.extend([sq.flags.writeable, theta.flags.writeable])
         return np.zeros(sq.shape[0])
 
-    estimate_sublevel_volume(SampledPotential(evaluator, 2), 0.5, samples=1000, seed=SEED)
-    with_moduli = SampledPotential(evaluator, 2, moduli=moduli)
+    with_coordinates = SampledPotential.from_evaluator(evaluator, 2)
+    estimate_sublevel_volume(with_coordinates, 0.5, samples=1000, seed=SEED)
+    with_moduli = SampledPotential(moduli, 2, angles=False)
     estimate_sublevel_volume(with_moduli, 0.5, samples=1000, seed=SEED)
-    with_polar = SampledPotential(evaluator, 2, polar=polar)
+    with_polar = SampledPotential(polar, 2)
     estimate_sublevel_volume(with_polar, 0.5, samples=1000, seed=SEED)
-    assert seen == [False] * 4
+    # a potential of the moduli gets no angles on a chunk that has them
+    volume._sample_group([with_moduli, with_polar], np.array([0.5]), 1000, SEED, 1)
+    assert seen == [False] * 7
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +447,42 @@ def test_direct_sum_potential_combines_blocks():
     np.testing.assert_allclose(p.evaluator(coords), np.logaddexp(left, right), rtol=1e-12)
 
 
+def complex_function(spec, offset):
+    """The holomorphic function a separated sum of principal monomials
+    denotes, on the complex coordinates of a variable block starting at
+    ``offset``."""
+    if isinstance(spec, PrincipalMonomial):
+        exps = spec.exponents
+
+        def fn(z):
+            out = np.ones(z.shape[0], dtype=complex)
+            for i, e in enumerate(exps):
+                if e:
+                    out = out * z[:, offset + i] ** e
+            return out
+
+        return fn
+    left = complex_function(spec.left, offset)
+    right = complex_function(spec.right, offset + spec.left.nvars)
+    return lambda z: left(z) + right(z)
+
+
+def log_modulus(fn):
+    """The evaluator log|f| on interleaved coordinates of a holomorphic
+    function ``fn`` of the (N, n) complex coordinates."""
+
+    def evaluator(coords):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(fn(coords[:, 0::2] + 1j * coords[:, 1::2])))
+
+    return evaluator
+
+
+def family_reference(m, p, t):
+    """log|z1^m + t z2^p| on interleaved coordinates."""
+    return log_modulus(lambda z: z[:, 0] ** m + t * z[:, 1] ** p)
+
+
 MODULI_SPECS = [
     "mono:3",
     "mono:2,1",
@@ -435,9 +498,10 @@ MODULI_SPECS = [
 
 
 def coordinate_reference(spec):
-    """The potential of a moduli-only spec written per coordinate block,
-    straight from its definition and in the numpy operations of the
-    coordinate evaluators, which the moduli form must reproduce bit for bit."""
+    """The potential of a spec on interleaved coordinates, written per
+    coordinate block straight from its definition: a separated sum is the
+    log-modulus of its complex function, and a spec of the moduli is in
+    the numpy operations that its moduli form must reproduce bit for bit."""
     if isinstance(spec, PrincipalMonomial):
         alpha = np.asarray(spec.exponents, dtype=float)
 
@@ -457,6 +521,8 @@ def coordinate_reference(spec):
                 return np.log(np.sum(sq**half, axis=1))
 
         return diagonal
+    if isinstance(spec, SeparatedSum):
+        return log_modulus(complex_function(spec, 0))
     left, right = coordinate_reference(spec.left), coordinate_reference(spec.right)
     off = 2 * spec.left.nvars
     return lambda coords: np.logaddexp(left(coords[:, :off]), right(coords[:, off:]))
@@ -466,7 +532,7 @@ def coordinate_reference(spec):
 def test_moduli_form_keeps_the_coordinate_evaluator_bytes(text):
     spec = parse_spec(text)
     p = potential_from_spec(spec)
-    assert p.moduli is not None
+    assert not p.angles
     rng = np.random.default_rng(7)
     coords = rng.uniform(-0.7, 0.7, size=(20_000, 2 * spec.nvars))
     coords[:50, :2] = 0.0  # a vanishing first coordinate
@@ -476,46 +542,42 @@ def test_moduli_form_keeps_the_coordinate_evaluator_bytes(text):
     # the moduli form agrees with it up to rounding, and does not touch its input
     sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
     before = sq.copy()
-    np.testing.assert_allclose(p.moduli(sq), expected, rtol=1e-13)
+    np.testing.assert_allclose(p.phi(sq, None), expected, rtol=1e-13)
     np.testing.assert_array_equal(sq, before)
 
 
 def test_only_potentials_of_the_moduli_carry_the_moduli_form():
     for text in ("ssum(mono:2;mono:3)", "dsum(mono:1;ssum(mono:2;mono:3))"):
-        assert potential_from_spec(parse_spec(text)).moduli is None
-    assert binomial_family(2, 3)(0.5).moduli is None
-    assert binomial_family(2, 3)(0.0).moduli is not None  # z1^2 alone
-    with pytest.raises(InvalidInputError):
-        SampledPotential(lambda c: c, 1, moduli="no")
-    with pytest.raises(InvalidInputError):
-        SampledPotential(lambda c: c, 1, polar="no")
+        assert potential_from_spec(parse_spec(text)).angles
+    assert not any(potential_from_spec(parse_spec(text)).angles for text in MODULI_SPECS)
+    assert binomial_family(2, 3)(0.5).angles
+    assert not binomial_family(2, 3)(0.0).angles  # z1^2 alone
+    assert SampledPotential.from_evaluator(lambda c: c[:, 0], 1).angles
 
 
 def test_moduli_sampling_draws_only_the_radii():
     # |z_i|^2 = R_i^2 u with u the first draw of the chunk's generator;
-    # the coordinate evaluator is never called
+    # no angles are passed
     seen = []
 
-    def moduli(sq):
+    def moduli(sq, theta):
+        assert theta is None
         seen.append(sq.copy())
         return np.zeros(sq.shape[0])
 
-    def evaluator(coords):
-        raise AssertionError("coordinates built")
-
-    p = SampledPotential(evaluator, 2, radius=(0.5, 2.0), moduli=moduli)
+    p = SampledPotential(moduli, 2, radius=(0.5, 2.0), angles=False)
     volume._sample_group([p], np.array([0.5]), 3000, SEED, 1)
     (child,) = np.random.SeedSequence(SEED).spawn(1)
     u = np.random.Generator(np.random.PCG64(child)).random((3000, 2))
     assert seen[0].tobytes() == (np.array([0.25, 4.0]) * u).tobytes()
 
 
-def assert_counts_equal_the_coordinate_path(p, workers):
+def assert_counts_equal_the_coordinate_path(p, evaluator, workers):
     # the same draws give the same |z|^2 and angles, and the coordinates up to
-    # rounding, so the same counts; the coordinate form of the same
+    # rounding, so the same counts; the coordinate form of the reference
     # evaluator is the reference
-    reference = SampledPotential(p.evaluator, p.dimension, p.radius)
-    assert reference.moduli is None
+    reference = SampledPotential.from_evaluator(evaluator, p.dimension, p.radius)
+    assert reference.angles
     thresholds = np.log(np.geomspace(0.5, 1e-3, 9) * min(p.radius))
     for seed in (0, 1, SEED):
         ((counts, volumes, _),) = volume._sample_group([p], thresholds, 150_000, seed, workers)
@@ -532,7 +594,9 @@ def assert_counts_equal_the_coordinate_path(p, workers):
 def test_moduli_sampling_counts_equal_the_coordinate_path(text, radius):
     spec = parse_spec(text)
     radius = radius if isinstance(radius, float) else radius[: spec.nvars]
-    assert_counts_equal_the_coordinate_path(potential_from_spec(spec, radius), 2)
+    assert_counts_equal_the_coordinate_path(
+        potential_from_spec(spec, radius), coordinate_reference(spec), 2
+    )
 
 
 def polar_points(n, rng):
@@ -549,26 +613,44 @@ def polar_points(n, rng):
     return sq, theta
 
 
+def family_member(m, p, t):
+    return binomial_family(m, p)(t), family_reference(m, p, t)
+
+
+def spec_member(text):
+    spec = parse_spec(text)
+    return potential_from_spec(spec), coordinate_reference(spec)
+
+
+# separated sums of 3 and 4 terms, and one inside a direct sum
+LONG_SUMS = [
+    "ssum(mono:1;ssum(mono:1;mono:2))",
+    "ssum(ssum(mono:1;mono:1);ssum(mono:1;mono:1))",
+    "ssum(mono:2;ssum(mono:3;mono:0,5))",
+    "dsum(mono:1;ssum(mono:2;mono:3))",
+]
+
 POLAR_MEMBERS = [
-    *(pytest.param(lambda t=t: binomial_family(2, 2)(t), id=f"family(2,2)({t})")
+    *(pytest.param(lambda t=t: family_member(2, 2, t), id=f"family(2,2)({t})")
       for t in (-1.0, 0.1, 2.0)),
-    *(pytest.param(lambda t=t: binomial_family(2, 3)(t), id=f"family(2,3)({t})")
+    *(pytest.param(lambda t=t: family_member(2, 3, t), id=f"family(2,3)({t})")
       for t in (-0.5, 1.0)),
-    *(pytest.param(lambda text=text: potential_from_spec(parse_spec(text)), id=text)
-      for text in ("ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)", "ssum(mono:2,0;mono:0,1)")),
+    *(pytest.param(lambda text=text: spec_member(text), id=text)
+      for text in ("ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)", "ssum(mono:2,0;mono:0,1)",
+                   *LONG_SUMS)),
 ]
 
 
 @pytest.mark.parametrize("make", POLAR_MEMBERS)
 def test_polar_form_matches_the_evaluator_pointwise(make):
-    p = make()
-    assert p.moduli is None
+    p, reference = make()
+    assert p.angles
     sq, theta = polar_points(p.dimension, np.random.default_rng(8))
     sq.flags.writeable = theta.flags.writeable = False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phi = p.polar(sq, theta)
-    expected = SampledPotential(p.evaluator, p.dimension).polar(sq, theta)
+        phi = p.phi(sq, theta)
+    expected = SampledPotential.from_evaluator(reference, p.dimension).phi(sq, theta)
     assert not np.isnan(phi).any()
     # log|f| near 0 has no relative precision to speak of; the evaluator's
     # own error there is about 1e-16
@@ -578,9 +660,10 @@ def test_polar_form_matches_the_evaluator_pointwise(make):
 
 def test_family_baseline_is_the_monomial_and_draws_no_angles(monkeypatch):
     family = binomial_family(3, 2)
+    assert not family(0.0).angles
     sq, theta = polar_points(2, np.random.default_rng(10))
-    expected = SampledPotential(family(0.0).evaluator, 2).polar(sq, theta)
-    np.testing.assert_allclose(family(0.0).moduli(sq), expected, rtol=1e-12, atol=1e-14)
+    expected = SampledPotential.from_evaluator(family_reference(3, 2, 0.0), 2).phi(sq, theta)
+    np.testing.assert_allclose(family(0.0).phi(sq, None), expected, rtol=1e-12, atol=1e-14)
 
     def no_trig(*_, **__):
         raise AssertionError("trig called")
@@ -594,18 +677,50 @@ def test_family_baseline_is_the_monomial_and_draws_no_angles(monkeypatch):
 @pytest.mark.parametrize("t", [-1.0, -0.5, 0.0, 0.1, 1.0, 2.0])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_family_counts_equal_the_coordinate_path(t, workers):
-    assert_counts_equal_the_coordinate_path(binomial_family(2, 3)(t), workers)
+    assert_counts_equal_the_coordinate_path(
+        binomial_family(2, 3)(t), family_reference(2, 3, t), workers
+    )
 
 
-@pytest.mark.parametrize("text", ["ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)"])
-@pytest.mark.parametrize("radius", [1.0, 0.7, (0.6, 1.3, 0.9)])
+@pytest.mark.parametrize("text", ["ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)", *LONG_SUMS])
+@pytest.mark.parametrize("radius", [1.0, 0.7, (0.6, 1.3, 0.9, 2.0)])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_polar_sampling_counts_equal_the_coordinate_path(text, radius, workers):
     spec = parse_spec(text)
     radius = radius if isinstance(radius, float) else radius[: spec.nvars]
     p = potential_from_spec(spec, radius)
-    assert p.moduli is None
-    assert_counts_equal_the_coordinate_path(p, workers)
+    assert p.angles
+    assert_counts_equal_the_coordinate_path(p, coordinate_reference(spec), workers)
+
+
+def test_evaluator_is_the_reference_on_every_benchmark_potential(monkeypatch):
+    # perfbench's traced runs time p.evaluator(coords) on each potential its
+    # workloads build
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    default = [coordinate_reference(parse_spec("mono:2,1"))]
+    references = {
+        "scan-box": default,
+        "exact-queries": default,
+        "oracle-modulus": [coordinate_reference(parse_spec(s)) for s in workloads.MODULUS_SPECS],
+        "oracle-family": [
+            family_reference(m, p, t)
+            for m, p in sorted(set(workloads.FAMILY_OPS))
+            for t in workloads.FAMILY_T
+        ],
+    }
+    assert set(references) == set(workloads.WORKLOADS)
+    rng = np.random.default_rng(11)
+    for name, workload in workloads.WORKLOADS.items():
+        potentials = workload(1).potentials()
+        assert len(potentials) == len(references[name])
+        for p, reference in zip(potentials, references[name]):
+            rad = np.asarray(p.radius) * np.sqrt(rng.random((20_000, p.dimension)))
+            ang = 2.0 * np.pi * rng.random((20_000, p.dimension))
+            coords = np.empty((20_000, 2 * p.dimension))
+            coords[:, 0::2], coords[:, 1::2] = rad * np.cos(ang), rad * np.sin(ang)
+            # as in the pointwise test: log|f| near 0 has only absolute precision
+            np.testing.assert_allclose(p.evaluator(coords), reference(coords), rtol=1e-12, atol=1e-14)
 
 
 def test_ideal_inside_separated_sum_rejected():
@@ -951,7 +1066,7 @@ def test_semicontinuity_mixes_moduli_and_coordinate_members(monkeypatch, workers
         text = "mono:2,1" if t == 0.5 else "ssum(mono:2;mono:2)"
         return potential_from_spec(parse_spec(text), 0.8)
 
-    assert family(0.5).moduli is not None and family(0.0).moduli is None
+    assert not family(0.5).angles and family(0.0).angles
     config = FitConfig(r_min=5e-3, r_max=0.2, grid_size=8, samples=150_000, workers=workers)
     built = counted_generators(monkeypatch)
     report = semicontinuity_experiment(family, [0.0, 0.5, 1.0], config=config)
@@ -1018,7 +1133,9 @@ def test_semicontinuity_raises_the_first_insufficient_fit_in_t_order():
     levels = {0.0: -math.inf, 1.0: math.log(0.01), 2.0: 0.0}
 
     def family(t):
-        return SampledPotential(lambda coords: np.full(coords.shape[0], levels[t]), 2)
+        return SampledPotential.from_evaluator(
+            lambda coords: np.full(coords.shape[0], levels[t]), 2
+        )
 
     config = FitConfig(grid_size=4, samples=1000)
     with pytest.raises(InsufficientDataError, match="only 2 grid points"):
