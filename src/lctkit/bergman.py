@@ -33,6 +33,7 @@ from .extrational import ExtRational
 
 DEFAULT_TABLE_MARGIN = 64  # default K_max = k_min + this
 MIN_TABLE_MARGIN = 8  # build_approx requires K_max >= k_min + this
+MAX_TABLE_LENGTH = 1 << 16  # build_approx refuses K_max - k_min >= this: ~6 MiB of entries
 
 
 @dataclass(frozen=True)
@@ -83,18 +84,21 @@ def build_approx(w: RadialWeight, m: int, k_max: Union[int, None] = None) -> Ber
     if not isinstance(w, RadialWeight):
         w = RadialWeight(w)
     require_int(m, 1, "m must be a positive integer")
-    if 2 * m > sys.float_info.max:  # psi_m divides by 2m
-        raise InvalidInputError(f"2*m must fit a float, at most {sys.float_info.max:.4g}")
+    require_real(2 * m, "2*m must fit a float, got {value!r}")  # psi_m divides by 2m
     k_min = minimal_degree(w, m)
-    if k_min > sys.float_info.max:  # floor(m*c)
-        raise InvalidInputError(f"m*c must fit a float, at most {sys.float_info.max:.4g}")
+    require_real(k_min, "m*c must fit a float, got {value!r}")
     if k_max is None:
         k_max = k_min + DEFAULT_TABLE_MARGIN
     require_int(k_max, None, "k_max must be an integer")
     if k_max < k_min + MIN_TABLE_MARGIN:
         raise InvalidInputError(
-            f"k_max={k_max} too small: need at least k_min + {MIN_TABLE_MARGIN} = "
+            f"k_max too small: need at least k_min + {MIN_TABLE_MARGIN} = "
             f"{k_min + MIN_TABLE_MARGIN}"
+        )
+    if k_max - k_min >= MAX_TABLE_LENGTH:
+        raise InvalidInputError(
+            f"k_max too large: a table holds at most {MAX_TABLE_LENGTH} entries, up to "
+            f"k_min + {MAX_TABLE_LENGTH - 1} = {k_min + MAX_TABLE_LENGTH - 1}"
         )
     mc = w.c * m
     table = tuple(Fraction(k + 1) - mc for k in range(k_min, k_max + 1))
@@ -125,8 +129,7 @@ def eval_psi_m(ap: BergmanApprox, z_abs: float) -> float:
     """psi_m(z) = (1/2m) log sum_{k_min}^{k_max} sigma_k |z|^{2k}."""
     if not isinstance(ap, BergmanApprox):
         raise InvalidInputError("expected a BergmanApprox")
-    if not 0.0 < require_real(z_abs, "z_abs must be a number, got {value!r}") < 1.0:
-        raise InvalidInputError("z_abs must lie in (0, 1)")
+    require_real(z_abs, "z_abs must be a number in (0, 1), got {value!r}", 0.0, 1.0)
     lead, poly = _log_series(ap, z_abs)
     return (lead + poly) / (2 * ap.m)
 
@@ -140,8 +143,7 @@ def eval_tail_bound(ap: BergmanApprox, z_abs: float) -> float:
     """
     if not isinstance(ap, BergmanApprox):
         raise InvalidInputError("expected a BergmanApprox")
-    if not 0.0 < require_real(z_abs, "z_abs must be a number, got {value!r}") < 1.0:
-        raise InvalidInputError("z_abs must lie in (0, 1)")
+    require_real(z_abs, "z_abs must be a number in (0, 1), got {value!r}", 0.0, 1.0)
     x = z_abs * z_abs
     K = ap.k_max
     shift = K + 1 - ap.k_min  # tail power relative to the factored x^{k_min}

@@ -286,7 +286,8 @@ def _cmd_fano_certify(args: argparse.Namespace) -> str:
     if args.format == "csv":
         a = cert.weights.a
         q = cert.rho
-        rho_cols = "," if q is None else f"{q.numerator}/{q.denominator},{float(q):.6f}"
+        rho_float = fano.display_float(q)
+        rho_cols = "," if q is None else f"{q.numerator}/{q.denominator},{rho_float:.6f}"
         return (
             "a0,a1,a2,a3,d,fletcher,rho,rho_float,verdict\n"
             f"{a[0]},{a[1]},{a[2]},{a[3]},{cert.weights.d},"

@@ -53,14 +53,17 @@ def require_int(value, minimum: Optional[int], message: str) -> int:
     return value
 
 
-def require_real(value, message: str) -> float:
+def require_real(value, message: str, low: float = -math.inf, high: float = math.inf) -> float:
     """Return ``value`` as a float if it is an int or a float (not a bool)
-    that a float can hold; otherwise raise InvalidInputError with
+    strictly between ``low`` and ``high``, which by default refuse only
+    infinities and NaN; otherwise raise InvalidInputError with
     ``message.format(value=value)``.  An int past the float range is
-    reported as inf: it is one, as a float, and its repr may not print."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvalidInputError(message.format(value=value))
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidInputError(message.format(value=math.inf)) from None
+    reported as +-inf: it is one, as a float, and its repr may not print."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = value = math.inf if value > 0 else -math.inf
+        if low < real < high:
+            return real
+    raise InvalidInputError(message.format(value=value))

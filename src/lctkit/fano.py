@@ -309,8 +309,13 @@ def _frac_str(q: Optional[Fraction]) -> Optional[str]:
     return None if q is None else f"{q.numerator}/{q.denominator}"
 
 
-def _frac_float(q: Optional[Fraction]) -> Optional[float]:
-    return None if q is None else round(float(q), 6)
+def display_float(q: Optional[Fraction]) -> Optional[float]:
+    """q rounded to 6 places for display, None for None; a q past the float
+    range has no display float and is refused."""
+    try:
+        return None if q is None else round(float(q), 6)
+    except OverflowError:
+        raise InvalidInputError("a certificate value past the float range has no float") from None
 
 
 @dataclass(frozen=True)
@@ -362,13 +367,13 @@ class Certificate:
             "monomial_count": self.monomial_count,
             "fletcher": self.fletcher.to_json_dict(),
             "anticanonical_square": _frac_str(self.anticanonical_square),
-            "anticanonical_square_float": _frac_float(self.anticanonical_square),
+            "anticanonical_square_float": display_float(self.anticanonical_square),
             "curve_bound_ok": self.curve_bound_ok,
             "line_condition_ok": self.line_condition_ok,
             "rho": _frac_str(self.rho),
-            "rho_float": _frac_float(self.rho),
+            "rho_float": display_float(self.rho),
             "rho_refined": _frac_str(self.rho_refined),
-            "rho_refined_float": _frac_float(self.rho_refined),
+            "rho_refined_float": display_float(self.rho_refined),
             "delta_note": self.delta_note,
             "curve_check_recorded": self.curve_check_recorded,
             "refined_needs_curve_check": self.refined_needs_curve_check,

@@ -10,9 +10,9 @@ experiments.
 
 Estimates are deterministic for a fixed seed: sampling is partitioned
 into fixed-size chunks with per-chunk seeds derived by SeedSequence
-spawning.  The chunks run on min(workers, LCT_THREADS, CPU count)
-threads (1 by default, which is the calling thread), and the merged
-counts are independent of chunk scheduling.
+spawning.  The chunks run on min(workers, CPU count) threads (1 by
+default, which is the calling thread), and the merged counts are
+independent of chunk scheduling.
 One common sample set is counted against every radius of a fit grid
 (common random numbers), which makes the volume curve exactly monotone
 in r and keeps the fitted slope variance small.
@@ -87,22 +87,6 @@ _RADIUS_BYTES = 512
 _MAX_CHUNKS = 1 << 15
 
 
-def _worker_count(requested: Optional[int]) -> int:
-    """Effective worker count: requested (default 1), capped by LCT_THREADS
-    and by the CPU count."""
-    workers = 1 if requested is None else requested
-    cap = os.environ.get("LCT_THREADS", "").strip()
-    if cap:
-        try:
-            cap_n = int(cap)
-        except ValueError as exc:
-            raise InvalidInputError(f"LCT_THREADS must be an integer, got {cap!r}") from exc
-        if cap_n < 1:
-            raise InvalidInputError(f"LCT_THREADS must be a positive integer, got {cap!r}")
-        workers = min(workers, cap_n)
-    return min(workers, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # potentials
 
@@ -136,13 +120,12 @@ class SampledPotential:
         if not isinstance(self.angles, bool):
             raise InvalidInputError("angles must be True or False")
         r = self.radius if isinstance(self.radius, (tuple, list, np.ndarray)) else (self.radius,)
-        r = tuple(require_real(x, "radii must be numbers, got {value!r}") for x in r)
+        positive = "polydisk radii must be numbers in (0, inf), got {value!r}"
+        r = tuple(require_real(x, positive, 0.0) for x in r)
         if len(r) == 1:
             r *= self.dimension
         if len(r) != self.dimension:
             raise InvalidInputError("need one polydisk radius per coordinate")
-        if any(not 0.0 < x < math.inf for x in r):
-            raise InvalidInputError("polydisk radii must be positive and finite")
         object.__setattr__(self, "radius", r)
 
     @classmethod
@@ -187,6 +170,13 @@ class SampledPotential:
         return vol
 
 
+def _floats(exponents: Sequence[int]) -> np.ndarray:
+    """The exponents of a spec as a float array, refusing one past the
+    float range."""
+    message = "exponents must fit a float, got {value!r}"
+    return np.array([require_real(a, message) for a in exponents])
+
+
 def _column_sum(x: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """sum_i w_i x[:, i] over the nonzero weights, so a column of weight 0
     adds nothing even where it is infinite."""
@@ -210,8 +200,8 @@ def _binomial_polar(
     is computed by its log, so no square underflows: with rho the ratio of
     the smaller modulus to the larger, phi = log max(a, b)
     + log((1 - rho)^2 + 4 rho cos^2 h) / 2."""
-    alpha = np.array(left.exponents + (0,) * right.nvars) / 2.0
-    beta = np.array((0,) * left.nvars + right.exponents) / 2.0
+    alpha = _floats(left.exponents + (0,) * right.nvars) / 2.0
+    beta = _floats((0,) * left.nvars + right.exponents) / 2.0
     log_c = math.log(abs(c))
     trig = np.cos if c > 0 else np.sin
 
@@ -256,7 +246,7 @@ def _polynomial_polar(
     times the cosines and the sines of the phases, so phi = l
     + log(Re^2 + Im^2) / 2, and no modulus underflows."""
     offsets = accumulate((term.nvars for term in terms), initial=0)
-    blocks = [(slice(k, k + t.nvars), np.array(t.exponents) / 2) for k, t in zip(offsets, terms)]
+    blocks = [(slice(k, k + t.nvars), _floats(t.exponents) / 2) for k, t in zip(offsets, terms)]
 
     def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -303,7 +293,7 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool]:
     # see on its own (numpy may run other SIMD loops on strided data) and
     # only one block's copy is alive at a time.
     if isinstance(spec, PrincipalMonomial):
-        alpha = np.asarray(spec.exponents, dtype=float)
+        alpha = _floats(spec.exponents)
         unused = alpha == 0
 
         def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
@@ -317,7 +307,7 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool]:
 
         return monomial, False
     if isinstance(spec, Diagonal):
-        half = np.asarray(spec.orders, dtype=float) / 2.0
+        half = _floats(spec.orders) / 2.0
 
         def diagonal(sq: np.ndarray, theta: None) -> np.ndarray:
             sq = np.ascontiguousarray(sq)
@@ -382,19 +372,17 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
     require_int(m, 1, "exponent m must be an integer >= 1, got {value!r}")
     require_int(p, 1, "exponent p must be an integer >= 1, got {value!r}")
     left, right = PrincipalMonomial((m,)), PrincipalMonomial((p,))
+    m_real, _ = _floats((m, p))  # refuses m or p past the float range
 
     def make(t: float) -> SampledPotential:
-        message = "family parameter t must be a finite number, got {value!r}"
-        tt = require_real(t, message)
-        if not math.isfinite(tt):
-            raise InvalidInputError(message.format(value=tt))
+        tt = require_real(t, "family parameter t must be a finite number, got {value!r}")
         if tt != 0.0:
             return SampledPotential(_binomial_polar(left, right, tt), 2)
 
         def moduli(sq: np.ndarray, theta: None) -> np.ndarray:
             with np.errstate(divide="ignore"):
                 phi = np.log(sq[:, 0])
-            phi *= 0.5 * m
+            phi *= 0.5 * m_real
             return phi
 
         return SampledPotential(moduli, 2, angles=False)
@@ -488,7 +476,7 @@ def _sample_group(
         return counts
 
     chunks = range(len(sizes))
-    nworkers = min(_worker_count(workers), len(sizes))
+    nworkers = min(workers or 1, os.cpu_count() or 1, len(sizes))
     if nworkers == 1:
         # On the calling thread: a pool thread started per call may come up
         # before the last call's thread has handed back its malloc arena, and
@@ -517,8 +505,7 @@ def estimate_sublevel_volume(
     Returns the volume estimate and its binomial standard error, both
     scaled by the polydisk volume.  Deterministic for a fixed seed.
     """
-    if not 0.0 < require_real(r, "radius r must be a number, got {value!r}") < 1.0:
-        raise InvalidInputError("radius r must lie in (0, 1)")
+    r = require_real(r, "radius r must be a number in (0, 1), got {value!r}", 0.0, 1.0)
     FitConfig(samples=samples, seed=seed, workers=workers)  # checks all three
     _require_chunk_budget(p, 1, samples)
     log_r = np.array([math.log(r)])
@@ -738,10 +725,8 @@ def semicontinuity_experiment(
     t_values = [require_real(t, number) for t in t_values]
     if 0.0 not in t_values:
         raise InvalidInputError("t_values must include the baseline t = 0")
-    if not all(map(math.isfinite, t_values)):
-        raise InvalidInputError("family parameters t must be finite")
     tolerance = require_real(tolerance, "tolerance must be a number, got {value!r}")
-    if not 0.0 <= tolerance < math.inf:
+    if tolerance < 0.0:
         raise InvalidInputError("tolerance must be a finite nonnegative number")
     config = config or FitConfig()
     # _fit_all refuses a member that is not a SampledPotential before any draw

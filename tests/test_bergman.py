@@ -18,6 +18,7 @@ from lctkit import (
     lower_bound_constant,
     minimal_degree,
 )
+from lctkit.bergman import MAX_TABLE_LENGTH
 from lctkit.errors import InvalidInputError
 
 
@@ -68,9 +69,21 @@ def test_build_approx_validation():
         build_approx(RadialWeight(Fraction(1)), True)
     with pytest.raises(InvalidInputError):
         build_approx(RadialWeight(Fraction(1)), 3, k_max=5)  # below k_min + 8
+    with pytest.raises(InvalidInputError, match="too small"):
+        build_approx(RadialWeight(Fraction(1)), 3, k_max=-(10**5000))  # too long to print
     # raw rationals are accepted in place of a RadialWeight
     assert build_approx(Fraction(1, 2), 2).k_min == 1
     assert build_approx("1/2", 2).k_min == 1
+
+
+def test_table_length_is_bounded():
+    w = RadialWeight(Fraction(3, 4))
+    k_min = minimal_degree(w, 4)
+    longest = build_approx(w, 4, k_max=k_min + MAX_TABLE_LENGTH - 1)
+    assert len(longest.pi_sigma) == MAX_TABLE_LENGTH
+    too_long = r"at most 65536 entries, up to k_min \+ 65535 = 65538"
+    with pytest.raises(InvalidInputError, match=too_long):
+        build_approx(w, 4, k_max=k_min + MAX_TABLE_LENGTH)
 
 
 def test_eval_unweighted_closed_form():

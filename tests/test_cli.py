@@ -280,14 +280,11 @@ def test_volume_fit_samples_over_the_chunk_limit_exits_1(capsys):
     assert peak < 1 << 18
 
 
-def test_volume_fit_deterministic(capsys, monkeypatch):
+def test_volume_fit_deterministic(capsys):
     args = ("volume-fit", "--spec", "diag:2,3", *FAST_FIT)
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
-    monkeypatch.setenv("LCT_THREADS", "1")
-    _, third, _ = run(capsys, *args)
-    assert third == first
     _, other, _ = run(capsys, *args, "--seed", "7")
     assert other != first
 
@@ -347,7 +344,8 @@ def test_semicontinuity_non_finite_t_exits_1_before_any_draw(capsys, monkeypatch
     pcg64 = np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or pcg64(seed))
     rc, out, err = run(capsys, "semicontinuity", "--t", t, *FAST_FIT)
-    assert (rc, out, err) == (1, "", "error: family parameters t must be finite\n")
+    expected = f"error: family parameters t must be finite numbers, got {t[2:]}\n"
+    assert (rc, out, err) == (1, "", expected)
     assert built == []
 
 
@@ -643,6 +641,46 @@ def test_python_dash_m_lctkit_runs_the_cli():
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# numbers past the float range
+
+
+N = str(10**400)
+A = str(10**200)  # rho of 1,1,1,A in degree 3 is about 4*10^400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("volume-fit", "--spec", f"mono:{N}"),
+        ("volume-fit", "--spec", f"diag:{N}"),
+        ("volume-fit", "--spec", f"ssum(mono:{N};mono:1)"),
+        ("volume-fit", "--spec", f"ssum(mono:1;ssum(mono:1;mono:{N}))"),
+        ("semicontinuity", "--m", N),
+        ("semicontinuity", "--p", N),
+        ("fano-certify", "--weights", f"1,1,1,{A}", "--degree", "3"),
+        ("fano-certify", "--weights", f"1,1,1,{A}", "--degree", "3", "--format", "csv"),
+        ("fano-certify", "--weights", f"1,1,1,{A}", "--degree", "3", "--format", "text"),
+        ("bergman", "--c", "3/4", "--m", "4", "--kmax", "100000000"),
+    ],
+    ids=[
+        "mono", "diag", "ssum", "ssum-3", "family-m", "family-p",
+        "certify-json", "certify-csv", "certify-text", "bergman-kmax",
+    ],
+)
+def test_numbers_past_the_float_range_exit_1(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_lct_of_an_exponent_past_the_float_range_is_exact(capsys):
+    rc, out, _ = run(capsys, "lct", "--spec", f"mono:{N}")
+    assert rc == 0
+    assert json.loads(out)["c"] == f"1/{N}"
 
 
 # ---------------------------------------------------------------------------

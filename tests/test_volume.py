@@ -36,7 +36,7 @@ from lctkit import (
     potential_from_spec,
     semicontinuity_experiment,
 )
-from lctkit.errors import InsufficientDataError, InternalError, InvalidInputError
+from lctkit.errors import InsufficientDataError, InternalError, InvalidInputError, require_real
 
 SEED = 20240915
 
@@ -96,34 +96,38 @@ def test_worker_count_does_not_change_counts():
     assert serial == threaded
 
 
-def test_thread_cap_env(monkeypatch):
-    p = monomial_potential([1])
-    monkeypatch.setenv("LCT_THREADS", "1")
-    capped = estimate_sublevel_volume(p, 0.3, samples=300_000, seed=SEED, workers=8)
-    monkeypatch.delenv("LCT_THREADS")
-    free = estimate_sublevel_volume(p, 0.3, samples=300_000, seed=SEED, workers=8)
-    assert capped == free
-
-
-@pytest.mark.parametrize("cap", ["many", "0", "-1"])
-def test_thread_cap_env_must_be_integer(monkeypatch, cap):
-    monkeypatch.setenv("LCT_THREADS", cap)
-    with pytest.raises(InvalidInputError):
-        estimate_sublevel_volume(monomial_potential([1]), 0.3, samples=1000, seed=SEED)
-
-
 def test_worker_count_is_capped_by_the_cpu_count(monkeypatch):
-    # the count is computed only; no sampling, so no thread is started
-    monkeypatch.delenv("LCT_THREADS", raising=False)
+    # a fake pool records its size and runs the chunks on the calling
+    # thread, so no thread is started
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(volume, "ThreadPoolExecutor", RecordingPool)
+    p = monomial_potential([1])
+
+    def pool_sizes(workers, chunks=5):
+        pools.clear()
+        estimate_sublevel_volume(p, 0.3, samples=chunks * volume._CHUNK, seed=SEED, workers=workers)
+        return list(pools)
+
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert volume._worker_count(100_000) == 3
-    assert volume._worker_count(2) == 2
-    assert volume._worker_count(None) == 1
-    monkeypatch.setenv("LCT_THREADS", "2")
-    assert volume._worker_count(100_000) == 2
-    monkeypatch.delenv("LCT_THREADS")
+    assert pool_sizes(100_000) == [3]
+    assert pool_sizes(2) == [2]
+    assert pool_sizes(None) == []  # one worker: the calling thread, no pool
+    assert pool_sizes(100_000, chunks=2) == [2]  # at most one worker per chunk
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
-    assert volume._worker_count(100_000) == 1
+    assert pool_sizes(100_000) == []
 
 
 def test_different_seeds_differ():
@@ -343,6 +347,21 @@ def test_ints_too_long_to_print_are_refused_by_size():
             call()
 
 
+def test_require_real_refuses_what_is_not_strictly_between_its_bounds():
+    assert require_real(2, "{value!r}") == 2.0
+    assert require_real(0.5, "{value!r}", 0.0, 1.0) == 0.5
+    refused = [
+        (0.0, "0.0"), (1, "1"), (math.nan, "nan"), (10**400, "inf"), (-(10**400), "-inf"),
+        (True, "True"), ("0.5", "'0.5'"), (None, "None"),
+    ]
+    for value, shown in refused:
+        with pytest.raises(InvalidInputError, match=f"^got {shown}$"):
+            require_real(value, "got {value!r}", 0.0, 1.0)
+    for value in (math.inf, -math.inf, math.nan):  # the default bounds
+        with pytest.raises(InvalidInputError):
+            require_real(value, "got {value!r}")
+
+
 def test_evaluator_shape_is_checked():
     bad = SampledPotential.from_evaluator(lambda coords: np.zeros((coords.shape[0], 2)), 1)
     with pytest.raises(InvalidInputError):
@@ -413,6 +432,31 @@ def test_diagonal_potential_matches_closed_form():
     z = coords[:, 0::2] + 1j * coords[:, 1::2]
     expected = np.log(np.abs(z[:, 0]) ** 2 + np.abs(z[:, 1]) ** 3)
     np.testing.assert_allclose(p.evaluator(coords), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["mono:1", 42, None])
+def test_potential_from_spec_refuses_a_non_spec(spec):
+    with pytest.raises(InvalidInputError, match="expected a monomial ideal spec"):
+        potential_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: potential_from_spec(parse_spec(f"mono:{n}")),
+        lambda n: potential_from_spec(parse_spec(f"diag:1,{n}")),
+        lambda n: potential_from_spec(parse_spec(f"ssum(mono:1;mono:{n})")),
+        lambda n: potential_from_spec(parse_spec(f"ssum(mono:1;ssum(mono:1;mono:{n}))")),
+        lambda n: binomial_family(n, 1),
+        lambda n: binomial_family(1, n),
+    ],
+    ids=["mono", "diag", "ssum", "ssum-3", "family-m", "family-p"],
+)
+def test_exponents_past_the_float_range_are_refused_before_any_draw(monkeypatch, call):
+    built = counted_generators(monkeypatch)
+    with pytest.raises(InvalidInputError, match="exponents must fit a float, got inf"):
+        call(10**400)
+    assert built == []
 
 
 def test_potential_from_spec_dispatch():
