@@ -12,7 +12,9 @@ Estimates are deterministic for a fixed seed: sampling is partitioned
 into fixed-size chunks with per-chunk seeds derived by SeedSequence
 spawning.  The chunks run on min(workers, CPU count) threads (1 by
 default, which is the calling thread), and the merged counts are
-independent of chunk scheduling.
+independent of chunk scheduling.  Each thread draws its chunks into
+buffers it reuses for the whole call, and evaluates and counts a chunk in
+fixed row blocks, so a chunk's temporaries are those of one block.
 One common sample set is counted against every radius of a fit grid
 (common random numbers), which makes the volume curve exactly monotone
 in r and keeps the fitted slope variance small.
@@ -28,7 +30,9 @@ family) evaluates log|f| from the moduli and phases of its terms, with
 no complex arithmetic; a potential given on coordinates builds
 |z_i| cos theta_i, |z_i| sin theta_i from them.  Every potential reads
 the same draws, so its counts do not depend on which other potentials
-share its chunk.
+share its chunk.  phi must be pointwise (row i of its value depends only
+on row i of its arguments): it is called on the row blocks of a chunk,
+and its counts are those of the whole chunk.
 
 Every fit goes through one path, which fits a list of potentials on one
 shared sample set: each chunk is drawn once per polydisk, and the
@@ -66,17 +70,26 @@ DEFAULT_SEED = 1414213562
 
 _CHUNK = 1 << 17  # samples per chunk; fixed so results never depend on worker count
 
+# Rows of a chunk evaluated and counted at once.  A block's temporaries take
+# 256 KiB per column, which the heap hands to the next block again, where a
+# whole chunk's were given back to the kernel and faulted in afresh each
+# chunk; a block is still long enough that the per-block Python work stays
+# small against the numpy work.
+_BLOCK = 1 << 15
+
 # Bytes a chunk's draws and a fit's radius grid may take; a 2^17-sample
-# chunk and 12 radii in 2 variables take 8 MiB on the path of the moduli.
+# chunk and 12 radii in 2 variables take 4 MiB on the path of the moduli.
 _CHUNK_BYTES = 1 << 27
 
-# Bytes charged per sample and variable while a chunk is drawn and
-# evaluated: a potential of the angles is charged what one given on
-# coordinates takes, which tracemalloc measures at 48-72 (squared moduli,
-# angles, interleaved coordinates and a complex copy in the evaluator);
-# separated sums take 32-40, and potentials of the moduli 13-28.
-_COORDINATE_BYTES = 72
-_MODULI_BYTES = 32
+# Bytes charged per sample and variable while a full chunk is drawn and
+# evaluated: its draw buffers hold 8 per array drawn (the squared moduli,
+# and the angles when a potential reads them), and one row block's
+# evaluation the rest.  A potential of the angles is charged what one given
+# on coordinates takes, which tracemalloc measures at 24-30 (draws,
+# interleaved coordinates and a complex copy in the evaluator); separated
+# sums take 19-22, and potentials of the moduli 9-13.
+_COORDINATE_BYTES = 32
+_MODULI_BYTES = 16
 
 # Bytes charged per grid radius: a chunk's count arrays and the fit's result
 # rows, up to its JSON rendering, which tracemalloc measures at about 430.
@@ -104,8 +117,13 @@ class SampledPotential:
     the coordinates (Re z1, Im z1, ..., Re zn, Im zn) is built by
     :meth:`from_evaluator`.
 
-    phi may not modify its arguments: sampling passes them read-only,
-    because every potential counted on a chunk reads the same arrays.
+    phi must be pointwise: row i of its value depends only on row i of
+    ``sq`` and ``theta``, because sampling calls it on row blocks of a
+    chunk, and a value of the wrong shape is refused with the number of
+    rows it was given.  phi may not modify its arguments, nor keep them:
+    sampling passes them read-only, because every potential counted on a
+    chunk reads the same arrays, and draws the next chunk into the same
+    buffers.
     """
 
     phi: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
@@ -137,7 +155,8 @@ class SampledPotential:
     ) -> SampledPotential:
         """The potential whose ``evaluator`` maps an (N, 2n) array of
         interleaved real coordinates to an (N,) array of phi values.  Its
-        phi builds those coordinates, read-only, and evaluates them."""
+        phi builds those coordinates, read-only, and evaluates them, so the
+        evaluator sees the row blocks of a chunk and must be pointwise too."""
         if not callable(evaluator):
             raise InvalidInputError("evaluator must be callable")
 
@@ -204,6 +223,7 @@ def _binomial_polar(
     beta = _floats((0,) * left.nvars + right.exponents) / 2.0
     log_c = math.log(abs(c))
     trig = np.cos if c > 0 else np.sin
+    half_gap = alpha - beta
 
     def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -217,7 +237,7 @@ def _binomial_polar(
         rho = np.full_like(big, -np.inf)
         np.subtract(small, big, out=rho, where=big > -np.inf)
         rho = np.exp(rho, out=rho)
-        h = _column_sum(theta, alpha - beta)
+        h = _column_sum(theta, half_gap)
         cross = trig(h, out=h)
         cross *= cross
         cross *= rho
@@ -246,22 +266,23 @@ def _polynomial_polar(
     times the cosines and the sines of the phases, so phi = l
     + log(Re^2 + Im^2) / 2, and no modulus underflows."""
     offsets = accumulate((term.nvars for term in terms), initial=0)
-    blocks = [(slice(k, k + t.nvars), _floats(t.exponents) / 2) for k, t in zip(offsets, terms)]
+    alphas = [_floats(t.exponents) for t in terms]
+    blocks = [(slice(k, k + a.size), a / 2, a) for k, a in zip(offsets, alphas)]
 
     def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             log_sq = np.log(sq)
         logs = np.empty((len(blocks), sq.shape[0]))
-        for log_j, (block, half) in zip(logs, blocks):
+        for log_j, (block, half, _) in zip(logs, blocks):
             log_j[:] = _column_sum(log_sq[:, block], half)
         del log_sq
         big = logs.max(axis=0)
         re, im = np.zeros_like(big), np.zeros_like(big)
-        for w, (block, half) in zip(logs, blocks):
+        for w, (block, _, alpha) in zip(logs, blocks):
             # w_j, and 0 where every term vanishes
             np.subtract(w, big, out=w, where=big > -np.inf)
             w = np.exp(w, out=w)
-            phase = _column_sum(theta[:, block], 2.0 * half)
+            phase = _column_sum(theta[:, block], alpha)
             re += w * np.cos(phase)
             im += w * np.sin(phase, out=phase)
         modulus = np.hypot(re, im, out=re)
@@ -295,10 +316,11 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool]:
     if isinstance(spec, PrincipalMonomial):
         alpha = _floats(spec.exponents)
         unused = alpha == 0
+        any_unused = bool(unused.any())
 
         def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
             sq = np.ascontiguousarray(sq)
-            if unused.any():
+            if any_unused:
                 # log 1 = 0: a vanishing coordinate of exponent 0 adds nothing,
                 # where 0 * log 0 would make the sum NaN
                 sq = np.where(unused, 1.0, sq)
@@ -394,35 +416,42 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
 # sampling core
 
 
+def _chunk_charge(p: SampledPotential, samples: int) -> int:
+    """Bytes charged for the largest chunk a sampling call of p draws: its
+    draw buffers for every sample, and the evaluation of one row block at
+    the rate a full chunk's blocks are charged, so a chunk no longer than a
+    block is charged every row's evaluation."""
+    chunk = min(samples, _CHUNK)
+    # a potential of the angles is charged what the coordinate form takes
+    per_variable = _COORDINATE_BYTES if p.angles else _MODULI_BYTES
+    drawn = 16 if p.angles else 8
+    evaluated = (per_variable - drawn) * (_CHUNK // _BLOCK)
+    return p.dimension * (drawn * chunk + evaluated * min(chunk, _BLOCK))
+
+
 def _require_chunk_budget(p: SampledPotential, grid_size: int, samples: int = _CHUNK) -> None:
     """Refuse, before any draw, a sample count, grid and dimension whose
     largest chunk and result rows would pass _CHUNK_BYTES."""
     if not isinstance(p, SampledPotential):
         raise InvalidInputError("expected a SampledPotential")
-    chunk = min(samples, _CHUNK)
-    # a potential of the angles is charged what the coordinate form takes
-    per_variable = _COORDINATE_BYTES if p.angles else _MODULI_BYTES
-    if chunk * per_variable * p.dimension + grid_size * _RADIUS_BYTES > _CHUNK_BYTES:
+    if _chunk_charge(p, samples) + grid_size * _RADIUS_BYTES > _CHUNK_BYTES:
         raise InvalidInputError(
             f"{grid_size} radii in dimension {p.dimension} need over "
-            f"{_CHUNK_BYTES >> 20} MiB for a {chunk}-sample chunk and the result rows"
+            f"{_CHUNK_BYTES >> 20} MiB for a {min(samples, _CHUNK)}-sample chunk "
+            "and the result rows"
         )
 
 
-def _count_below(phi: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Per threshold, the number of phi values strictly below it, as
-    ``(phi[:, None] < thresholds[None, :]).sum(axis=0)`` counts them; the
-    thresholds are not NaN, phi may be.  Each phi value lands in the slot
-    of the sorted thresholds it is below first, and the running sum of the
-    slot sizes is mapped back to the thresholds' order."""
-    order = np.argsort(thresholds, kind="stable")
+def _count_below(phi: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Per threshold of the sorted, non-NaN ``edges``, the number of phi
+    values strictly below it, as ``(phi[:, None] < edges[None, :]).sum(0)``
+    counts them; phi may be NaN.  Each phi value lands in the slot of the
+    edges it is below first, and the counts are the running sum of the
+    slot sizes."""
     # what is not below the largest threshold (NaN included) counts nowhere
-    phi = phi[phi < thresholds[order[-1]]]
-    slots = np.searchsorted(thresholds[order], phi, side="right")
-    below = np.cumsum(np.bincount(slots, minlength=order.size), dtype=np.int64)
-    counts = np.empty_like(below)
-    counts[order] = below
-    return counts
+    phi = phi[phi < edges[-1]]
+    slots = np.searchsorted(edges, phi, side="right")
+    return np.cumsum(np.bincount(slots, minlength=edges.size), dtype=np.int64)
 
 
 def _sample_group(
@@ -435,7 +464,8 @@ def _sample_group(
     """Per potential, in order, the counts of uniform polydisk samples with
     phi < each threshold, and the volumes and binomial standard errors they
     give.  The potentials share one dimension and polydisk radius, and every
-    chunk is drawn once and counted against each of them in turn.
+    chunk is drawn once and counted against each of them in turn, one row
+    block of _BLOCK samples at a time.
 
     Chunked so results are bit-identical for any worker count: chunk
     boundaries depend only on the sample count, chunk seeds only on the
@@ -448,46 +478,59 @@ def _sample_group(
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    radius = np.asarray(first.radius)
+    scale = np.square(first.radius)
     n = first.dimension
     angles = any(p.angles for p in potentials)
+    order = np.argsort(log_thresholds, kind="stable")
+    edges = log_thresholds[order]
+    nworkers = min(workers or 1, os.cpu_count() or 1, len(sizes))
 
-    def one_chunk(i: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.PCG64(children[i]))
-        counts = np.empty((len(potentials), log_thresholds.size), dtype=np.int64)
-        # area-uniform on each disk: |z|^2 = R^2 u with u uniform, drawn
-        # before the angles 2 pi v, which only a potential of the angles reads
-        sq = rng.random((sizes[i], n))
-        sq *= radius * radius
-        sq.flags.writeable = False
-        theta = None
-        if angles:
-            theta = rng.random((sizes[i], n))
-            theta *= 2.0 * np.pi
-            theta.flags.writeable = False
-        for k, p in enumerate(potentials):
-            phi = np.asarray(p.phi(sq, theta if p.angles else None), dtype=float)
-            if phi.shape != (sizes[i],):
-                raise InvalidInputError(
-                    f"phi returned shape {phi.shape}, expected ({sizes[i]},)"
-                )
-            counts[k] = _count_below(phi, log_thresholds)
-            del phi  # one phi alive at a time
+    def worker(start: int) -> np.ndarray:
+        """The counts against the sorted thresholds of every nworkers-th
+        chunk from ``start`` on, drawn into buffers this worker reuses."""
+        sq_buffer = np.empty((sizes[0], n))
+        theta_buffer = np.empty((sizes[0], n)) if angles else None
+        counts = np.zeros((len(potentials), edges.size), dtype=np.int64)
+        for i in range(start, len(sizes), nworkers):
+            rng = np.random.Generator(np.random.PCG64(children[i]))
+            # area-uniform on each disk: |z|^2 = R^2 u with u uniform, drawn
+            # before the angles 2 pi v, which only a potential of the angles
+            # reads; out= fills a buffer with the stream a new array would get
+            sq = rng.random(out=sq_buffer[: sizes[i]])
+            sq *= scale
+            sq.flags.writeable = False
+            theta = None
+            if angles:
+                theta = rng.random(out=theta_buffer[: sizes[i]])
+                theta *= 2.0 * np.pi
+                theta.flags.writeable = False
+            for lo in range(0, sizes[i], _BLOCK):
+                sq_rows = sq[lo : lo + _BLOCK]
+                theta_rows = theta[lo : lo + _BLOCK] if angles else None
+                rows = sq_rows.shape[0]
+                for k, p in enumerate(potentials):
+                    phi = np.asarray(p.phi(sq_rows, theta_rows if p.angles else None), dtype=float)
+                    if phi.shape != (rows,):
+                        raise InvalidInputError(
+                            f"phi returned shape {phi.shape} on {rows} rows, expected ({rows},)"
+                        )
+                    counts[k] += _count_below(phi, edges)
+                    del phi  # one phi alive at a time
         return counts
 
-    chunks = range(len(sizes))
-    nworkers = min(workers or 1, os.cpu_count() or 1, len(sizes))
     if nworkers == 1:
         # On the calling thread: a pool thread started per call may come up
         # before the last call's thread has handed back its malloc arena, and
         # the fresh arena glibc then opens makes memory and time jump at random.
-        totals = sum(map(one_chunk, chunks))
+        totals = worker(0)
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            totals = sum(pool.map(one_chunk, chunks))
+            totals = sum(pool.map(worker, range(nworkers)))
     vol = first.polydisk_volume
     results = []
-    for counts in totals:
+    for sorted_counts in totals:
+        counts = np.empty_like(sorted_counts)
+        counts[order] = sorted_counts
         frac = counts / samples
         results.append((counts, vol * frac, vol * np.sqrt(frac * (1.0 - frac) / samples)))
     return results

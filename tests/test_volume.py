@@ -147,8 +147,8 @@ def broadcast_count(phi, thresholds):
 
 def test_count_below_matches_the_broadcast_compare():
     rng = np.random.default_rng(6)
-    # unsorted, with a duplicate
-    thresholds = np.array([-1.0, -3.0, 0.5, -3.0, -math.inf, 2.0, -0.25])
+    # sorted, with a duplicate; the sampler sorts them once per call
+    thresholds = np.sort([-1.0, -3.0, 0.5, -3.0, -math.inf, 2.0, -0.25])
     phi = np.concatenate([
         rng.normal(-1.0, 2.0, 5000),
         thresholds,  # phi equal to each threshold is not below it
@@ -170,7 +170,7 @@ floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
     st.lists(st.floats(allow_nan=False, allow_infinity=True), min_size=1, max_size=12),
 )
 def test_count_below_matches_the_broadcast_compare_property(phi, thresholds):
-    phi, thresholds = np.array(phi, dtype=float), np.array(thresholds, dtype=float)
+    phi, thresholds = np.array(phi, dtype=float), np.sort(np.array(thresholds, dtype=float))
     # phi values drawn from the thresholds too, so that ties are common
     phi = np.concatenate([phi, thresholds[::2]])
     np.testing.assert_array_equal(
@@ -207,30 +207,32 @@ def test_chunk_budget_is_checked_before_any_draw():
         calls.append(coords.shape)
         return np.zeros(coords.shape[0])
 
-    # 2^17 samples x 72 bytes x 15 variables passes 128 MiB
+    # 2^17 samples x 32 bytes x 32 variables and one radius pass 128 MiB
     with pytest.raises(InvalidInputError, match="MiB"):
-        estimate_sublevel_volume(SampledPotential.from_evaluator(evaluator, 15), 0.5, samples=10**6)
+        estimate_sublevel_volume(SampledPotential.from_evaluator(evaluator, 32), 0.5, samples=10**6)
     with pytest.raises(InvalidInputError, match="MiB"):
-        fit_exponent(SampledPotential.from_evaluator(evaluator, 2), grid_size=225281)
+        fit_exponent(SampledPotential.from_evaluator(evaluator, 2), grid_size=245761)
     assert calls == []
-    # 2^17 x 72 x 2 bytes of draws + 225280 radii x 512 bytes is exactly the budget
-    volume._require_chunk_budget(SampledPotential.from_evaluator(evaluator, 2), 225280)
-    volume._require_chunk_budget(SampledPotential.from_evaluator(evaluator, 14), 4096)
+    # 2^17 x 32 x 2 bytes of draws + 245760 radii x 512 bytes is exactly the budget
+    volume._require_chunk_budget(SampledPotential.from_evaluator(evaluator, 2), 245760)
+    volume._require_chunk_budget(SampledPotential.from_evaluator(evaluator, 31), 8192)
     with pytest.raises(InvalidInputError, match="MiB"):
-        volume._require_chunk_budget(SampledPotential.from_evaluator(evaluator, 14), 4097)
-    # a potential of the moduli is charged 32 bytes per sample and variable
-    moduli = SampledPotential(lambda sq, theta: sq[:, 0], 31, angles=False)
-    volume._require_chunk_budget(moduli, 8192)
+        volume._require_chunk_budget(SampledPotential.from_evaluator(evaluator, 31), 8193)
+    # a potential of the moduli is charged 16 bytes per sample and variable
+    moduli = SampledPotential(lambda sq, theta: sq[:, 0], 63, angles=False)
+    volume._require_chunk_budget(moduli, 4096)
     with pytest.raises(InvalidInputError, match="MiB"):
-        volume._require_chunk_budget(moduli, 8193)
+        volume._require_chunk_budget(moduli, 4097)
     # the compare that once took 1 byte per sample and radius is gone: 993 radii fit
     fit = fit_exponent(monomial_potential([1]), r_min=0.3, r_max=0.9, grid_size=993, samples=1000)
     assert len(fit.radii) == 993
 
 
 def test_chunk_budget_charges_the_largest_chunk_drawn():
-    # 33 variables with angles are charged 72 bytes per sample and variable:
-    # 47.5 MB for a 20000-sample chunk, 311 MB for a full 2^17-sample chunk
+    # 33 variables with angles are charged 32 bytes per sample and variable
+    # at a full 2^17-sample chunk, 138 MB; a 20000-sample chunk is shorter
+    # than a row block, so each of its samples is charged 16 bytes of draws
+    # and 64 of evaluation: 52.8 MB
     p = potential_from_spec(parse_spec("ssum(mono:1;" * 32 + "mono:1" + ")" * 32))
     assert p.angles and p.dimension == 33
     volume._require_chunk_budget(p, 12, 20000)
@@ -243,19 +245,20 @@ def test_chunk_budget_charges_the_largest_chunk_drawn():
         estimate_sublevel_volume(p, 0.5, samples=999)
 
 
-def chunk_peak(p, thresholds):
-    """tracemalloc's peak while one 2^17-sample chunk is drawn and counted."""
+def chunk_peak(p, thresholds, samples=volume._CHUNK):
+    """tracemalloc's peak while one chunk of the samples is drawn and counted."""
     volume._sample_group([p], thresholds, 2000, SEED, 1)  # first-call allocations
     tracemalloc.start()
     try:
-        volume._sample_group([p], thresholds, volume._CHUNK, SEED, 1)
+        volume._sample_group([p], thresholds, samples, SEED, 1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_chunk_charge_is_what_one_chunk_takes():
-    potentials = [potential_from_spec(parse_spec(text)) for text in (
+def charged_potentials():
+    """Potentials of every sampling form, for the chunk charge and the row blocks."""
+    return [potential_from_spec(parse_spec(text)) for text in (
         "mono:1", "mono:1,0", "mono:2,1", "mono:1,0,0,0", "diag:2,3",
         "dsum(mono:2,1;diag:2,3)",
         "ssum(mono:1;mono:1)", "ssum(mono:3;mono:1,0)", "ssum(mono:1;ssum(mono:1;mono:1))",
@@ -270,6 +273,10 @@ def test_chunk_charge_is_what_one_chunk_takes():
         SampledPotential.from_evaluator(coordinate_reference(parse_spec("ssum(mono:1;mono:1)")), 2),
         zero_potential(1), zero_potential(3),
     ]
+
+
+def test_chunk_charge_is_what_one_chunk_takes():
+    potentials = charged_potentials()
     thresholds = np.log(np.geomspace(1e-3, 1e-1, 12))
     worst = {volume._COORDINATE_BYTES: 0.0, volume._MODULI_BYTES: 0.0}
     for p in potentials:
@@ -278,11 +285,65 @@ def test_chunk_charge_is_what_one_chunk_takes():
         charge = volume._CHUNK * per_variable * p.dimension + thresholds.size * volume._RADIUS_BYTES
         assert peak <= charge
         worst[per_variable] = max(worst[per_variable], peak / (volume._CHUNK * p.dimension))
-    # each path's charge is its worst measured case rounded up: 72.0 bytes per
-    # sample and variable for the coordinate form of ssum(mono:1;mono:1), 28.0
-    # for mono:1,0; the polar forms of separated sums take 32.0-40.0
+    # each path's charge is its worst measured case rounded up: 30.0 bytes per
+    # sample and variable for the coordinate form of ssum(mono:1;mono:1), 13.0
+    # for mono:1,0; the polar forms of separated sums take 19.0-22.0
     assert volume._COORDINATE_BYTES - 8 < worst[volume._COORDINATE_BYTES]
     assert volume._MODULI_BYTES - 8 < worst[volume._MODULI_BYTES]
+
+
+def test_chunk_charge_covers_a_chunk_no_longer_than_a_block():
+    # a full chunk's charge is per_variable bytes per sample and variable;
+    # a chunk of one block evaluates every row at once, which the draws'
+    # share of that charge alone would not cover
+    thresholds = np.log(np.geomspace(1e-3, 1e-1, 12))
+    worst = {volume._COORDINATE_BYTES: 0.0, volume._MODULI_BYTES: 0.0}
+    for p in charged_potentials():
+        per_variable = volume._COORDINATE_BYTES if p.angles else volume._MODULI_BYTES
+        assert volume._chunk_charge(p, 10**6) == volume._CHUNK * per_variable * p.dimension
+        peak = chunk_peak(p, thresholds, volume._BLOCK)
+        charge = volume._chunk_charge(p, volume._BLOCK) + thresholds.size * volume._RADIUS_BYTES
+        assert peak <= charge
+        worst[per_variable] = max(worst[per_variable], peak / (volume._BLOCK * p.dimension))
+    # 72.0 bytes per sample and variable for the coordinate form, 28.0 for mono:1,0
+    assert worst[volume._COORDINATE_BYTES] > 2 * volume._COORDINATE_BYTES
+    assert worst[volume._MODULI_BYTES] > volume._MODULI_BYTES
+
+
+def whole_chunk_counts(p, thresholds, samples, seed):
+    """The counts of a potential drawn chunk by chunk as the sampler draws,
+    with phi evaluated on each whole chunk at once and counted by the
+    broadcast compare."""
+    sizes = [volume._CHUNK] * (samples // volume._CHUNK) + [samples % volume._CHUNK] * (
+        samples % volume._CHUNK > 0
+    )
+    counts = np.zeros(thresholds.size, dtype=np.int64)
+    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        rng = np.random.Generator(np.random.PCG64(child))
+        sq = rng.random((size, p.dimension)) * np.square(p.radius)
+        sq.flags.writeable = False
+        theta = None
+        if p.angles:
+            theta = rng.random((size, p.dimension)) * (2.0 * np.pi)
+            theta.flags.writeable = False
+        counts += broadcast_count(p.phi(sq, theta), thresholds)
+    return counts
+
+
+@pytest.mark.parametrize("samples", [2000, volume._CHUNK, 3 * volume._CHUNK + 777, 300_001])
+def test_row_block_counts_equal_whole_chunk_counts(samples):
+    # 2000 samples are one chunk shorter than a block; 3 * 2^17 + 777 end in
+    # a short chunk whose last block is short too, and 300001 in a chunk of
+    # one full block and a short one (37857 = 2^15 + 5089).  The thresholds are
+    # unsorted, with a duplicate; log 2 counts the zero potentials, and log 20
+    # the sum of 31 moduli.
+    thresholds = np.log([0.3, 0.01, 2.0, 0.1, 20.0, 0.01, 0.002, 0.05])
+    for p in charged_potentials():
+        expected = whole_chunk_counts(p, thresholds, samples, SEED)
+        assert expected.any()
+        for workers in (1, 2):
+            ((counts, _, _),) = volume._sample_group([p], thresholds, samples, SEED, workers)
+            np.testing.assert_array_equal(counts, expected)
 
 
 def test_semicontinuity_charges_the_rows_of_every_fit():
@@ -364,8 +425,12 @@ def test_require_real_refuses_what_is_not_strictly_between_its_bounds():
 
 def test_evaluator_shape_is_checked():
     bad = SampledPotential.from_evaluator(lambda coords: np.zeros((coords.shape[0], 2)), 1)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"shape \(1000, 2\) on 1000 rows"):
         estimate_sublevel_volume(bad, 0.5, samples=1000, seed=SEED)
+    # phi sees one row block of a chunk at a time, not the whole chunk
+    whole_chunk = SampledPotential(lambda sq, theta: np.zeros(volume._CHUNK), 1, angles=False)
+    with pytest.raises(InvalidInputError, match=r"\(131072,\) on 32768 rows, expected \(32768,\)"):
+        estimate_sublevel_volume(whole_chunk, 0.5, samples=volume._CHUNK, seed=SEED)
 
 
 def test_sampling_passes_its_arrays_read_only():
