@@ -46,10 +46,8 @@ from .volume import (
     SampledPotential,
     SemicontinuityReport,
     binomial_family,
-    diagonal_potential,
     estimate_sublevel_volume,
     fit_exponent,
-    monomial_potential,
     potential_from_spec,
     semicontinuity_experiment,
 )

@@ -5,7 +5,8 @@ with 1, insufficient data with 2, and internal consistency failures with 3.
 """
 
 import math
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Union
 
 
 class LctError(Exception):
@@ -32,13 +33,31 @@ class InternalError(LctError):
     """
 
 
+def _size(value: Union[int, Fraction]) -> str:
+    """An exact number named by its size in bits, for one too long to print."""
+    if value.denominator == 1:
+        bits = value.numerator.bit_length()
+        return f"{'a negative' if value < 0 else 'an'} integer of {bits} bits"
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    return f"{'a negative' if value < 0 else 'a'} fraction of {bits} bits"
+
+
+def exact_text(value: Union[int, Fraction]) -> str:
+    """``str(value)`` of an int or Fraction.  Python refuses to write an int
+    of more than 4300 digits (its int-to-str limit), and such a value is
+    refused with InvalidInputError naming its size in bits."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InvalidInputError(f"{_size(value)} is too long to print") from None
+
+
 def require_int(value, minimum: Optional[int], message: str) -> int:
     """Return ``value`` if it is an int (not a bool) and at least
     ``minimum`` (no bound when None); otherwise raise InvalidInputError
     with ``message.format(value=value)``.  Formatting only on failure
-    keeps the check cheap on hot constructors.  An int too long for
-    Python's int-to-str conversion (4300 digits by default) has no repr,
-    so the message shows its size."""
+    keeps the check cheap on hot constructors.  An int too long to print
+    (see :func:`exact_text`) is shown by its size."""
     if (
         not isinstance(value, int)
         or isinstance(value, bool)
@@ -47,8 +66,7 @@ def require_int(value, minimum: Optional[int], message: str) -> int:
         try:
             text = message.format(value=value)
         except ValueError:
-            size = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
-            text = message.replace("{value!r}", "{value}").format(value=size)
+            text = message.replace("{value!r}", "{value}").format(value=_size(value))
         raise InvalidInputError(text)
     return value
 

@@ -20,7 +20,7 @@ import functools
 from fractions import Fraction
 from typing import Union
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, exact_text
 
 _INF_TOKENS = frozenset({"inf", "+inf", "infinity", "+infinity", "oo"})
 
@@ -152,7 +152,7 @@ class ExtRational:
         return float("inf") if self._value is None else float(self._value)
 
     def __str__(self) -> str:
-        return "inf" if self._value is None else str(self._value)
+        return "inf" if self._value is None else exact_text(self._value)
 
     def __repr__(self) -> str:
         return f"ExtRational({str(self)!r})"

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NotFanoError, require_int
+from .errors import InvalidInputError, NotFanoError, exact_text, require_int
 
 KE_CERTIFIED = "KE_CERTIFIED"
 KE_CERTIFIED_REFINED = "KE_CERTIFIED_REFINED"
@@ -306,7 +306,7 @@ def rho_refined(w: WeightSystem) -> Fraction:
 
 
 def _frac_str(q: Optional[Fraction]) -> Optional[str]:
-    return None if q is None else f"{q.numerator}/{q.denominator}"
+    return None if q is None else f"{exact_text(q.numerator)}/{exact_text(q.denominator)}"
 
 
 def display_float(q: Optional[Fraction]) -> Optional[float]:
@@ -479,7 +479,8 @@ class ScanConfig:
         size = self.box_systems
         if size > MAX_BOX_SYSTEMS:
             raise InvalidInputError(
-                f"box a0>={self.min_a0}, a3<={self.max_a3} holds {size} weight systems; "
+                f"box a0>={exact_text(self.min_a0)}, a3<={exact_text(self.max_a3)} "
+                f"holds {exact_text(size)} weight systems; "
                 f"a scan takes at most {MAX_BOX_SYSTEMS}"
             )
 

@@ -25,10 +25,11 @@ squared moduli |z_i|^2 = R_i^2 u_i are area-uniform on the polydisk; the
 angles theta_i = 2 pi v_i are drawn after u, and only in a chunk that has
 a potential of the angles.  Potentials of the moduli alone (principal
 monomials, diagonal ideals and direct sums of those) are called with
-theta None.  A separated sum of principal monomials (and the binomial
-family) evaluates log|f| from the moduli and phases of its terms, with
-no complex arithmetic; a potential given on coordinates builds
-|z_i| cos theta_i, |z_i| sin theta_i from them.  Every potential reads
+theta None; the binomial family's member at t = 0 is the potential of
+the spec mono:m,0.  A separated sum of principal monomials (and the
+family's other members) evaluates log|f| from the moduli and phases of
+its terms, with no complex arithmetic; a potential given on coordinates
+builds |z_i| cos theta_i, |z_i| sin theta_i from them.  Every potential reads
 the same draws, so its counts do not depend on which other potentials
 share its chunk.  phi must be pointwise (row i of its value depends only
 on row i of its arguments): it is called on the row blocks of a chunk,
@@ -40,7 +41,8 @@ potentials on it are evaluated and counted in turn.  A volume fit is the
 list of one potential, a semicontinuity run the list of its members.
 Since a fit draws from the seed alone, its counts are those of its
 potential fitted alone at the same seed.  Its settings are a FitConfig,
-which refuses a bad value when it is built, before any draw.
+which refuses a bad value when it is built, before any draw, and
+fit_exponent(p, **settings) takes FitConfig's fields as its keywords.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ _CHUNK_BYTES = 1 << 27
 # evaluation the rest.  A potential of the angles is charged what one given
 # on coordinates takes, which tracemalloc measures at 24-30 (draws,
 # interleaved coordinates and a complex copy in the evaluator); separated
-# sums take 19-22, and potentials of the moduli 9-13.
+# sums take 19-22, and potentials of the moduli 10-12.
 _COORDINATE_BYTES = 32
 _MODULI_BYTES = 16
 
@@ -316,16 +318,15 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool]:
     if isinstance(spec, PrincipalMonomial):
         alpha = _floats(spec.exponents)
         unused = alpha == 0
-        any_unused = bool(unused.any())
+        half = alpha / 2.0
 
         def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
-            sq = np.ascontiguousarray(sq)
-            if any_unused:
-                # log 1 = 0: a vanishing coordinate of exponent 0 adds nothing,
-                # where 0 * log 0 would make the sum NaN
-                sq = np.where(unused, 1.0, sq)
             with np.errstate(divide="ignore"):
-                return 0.5 * (np.log(sq) @ alpha)
+                log_sq = np.log(np.ascontiguousarray(sq))
+            # a vanishing coordinate of exponent 0 adds nothing, where
+            # 0 * log 0 would make the sum NaN
+            log_sq[:, unused] = 0.0
+            return log_sq @ half
 
         return monomial, False
     if isinstance(spec, Diagonal):
@@ -370,44 +371,23 @@ def potential_from_spec(
     return SampledPotential(phi, spec.nvars, radius, angles)
 
 
-def monomial_potential(
-    exponents: Sequence[int], radius: Union[float, Sequence[float]] = 1.0
-) -> SampledPotential:
-    """phi = sum alpha_i log|z_i|, the potential of a principal monomial."""
-    return potential_from_spec(PrincipalMonomial(tuple(exponents)), radius)
-
-
-def diagonal_potential(
-    orders: Sequence[int], radius: Union[float, Sequence[float]] = 1.0
-) -> SampledPotential:
-    """phi = log sum |z_i|^{m_i}, the standard potential of a diagonal ideal."""
-    return potential_from_spec(Diagonal(tuple(orders)), radius)
-
-
 def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
     """The family t -> log|z1^m + t z2^p| on the unit bidisk.
 
     At t = 0 the exact exponent is 1/m; for t != 0 it is min(1, 1/m + 1/p).
-    The member at t = 0 is the principal monomial z1^m and reads no
-    angles; the others are evaluated in the polar form of a binomial.
+    The member at t = 0 is the principal monomial z1^m, the potential of
+    the spec ``mono:m,0``, built once per family; it reads no angles.  The
+    others are evaluated in the polar form of a binomial.
     """
     require_int(m, 1, "exponent m must be an integer >= 1, got {value!r}")
     require_int(p, 1, "exponent p must be an integer >= 1, got {value!r}")
     left, right = PrincipalMonomial((m,)), PrincipalMonomial((p,))
-    m_real, _ = _floats((m, p))  # refuses m or p past the float range
+    _floats((m, p))  # refuses m or p past the float range
+    baseline = potential_from_spec(PrincipalMonomial((m, 0)))
 
     def make(t: float) -> SampledPotential:
         tt = require_real(t, "family parameter t must be a finite number, got {value!r}")
-        if tt != 0.0:
-            return SampledPotential(_binomial_polar(left, right, tt), 2)
-
-        def moduli(sq: np.ndarray, theta: None) -> np.ndarray:
-            with np.errstate(divide="ignore"):
-                phi = np.log(sq[:, 0])
-            phi *= 0.5 * m_real
-            return phi
-
-        return SampledPotential(moduli, 2, angles=False)
+        return SampledPotential(_binomial_polar(left, right, tt), 2) if tt != 0.0 else baseline
 
     return make
 
@@ -459,7 +439,7 @@ def _sample_group(
     log_thresholds: np.ndarray,
     samples: int,
     seed: int,
-    workers: Optional[int],
+    workers: int,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per potential, in order, the counts of uniform polydisk samples with
     phi < each threshold, and the volumes and binomial standard errors they
@@ -483,7 +463,7 @@ def _sample_group(
     angles = any(p.angles for p in potentials)
     order = np.argsort(log_thresholds, kind="stable")
     edges = log_thresholds[order]
-    nworkers = min(workers or 1, os.cpu_count() or 1, len(sizes))
+    nworkers = min(workers, os.cpu_count() or 1, len(sizes))
 
     def worker(start: int) -> np.ndarray:
         """The counts against the sorted thresholds of every nworkers-th
@@ -541,7 +521,7 @@ def estimate_sublevel_volume(
     r: float,
     samples: int = 10**6,
     seed: int = DEFAULT_SEED,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> tuple[float, float]:
     """Estimate mu({phi < log r}) on the polydisk.
 
@@ -621,9 +601,10 @@ class ExponentFit:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for fit_exponent / semicontinuity_experiment; the field names
-    are fit_exponent's keyword names, so ``fit_exponent(p, **vars(config))``
-    runs a configured fit."""
+    """The settings of fit_exponent / semicontinuity_experiment, each
+    checked when the config is built.  fit_exponent takes them as keywords,
+    so ``fit_exponent(p, **vars(config))`` runs a configured fit.  workers is
+    an int >= 1, the most threads a fit samples on; 1 is the calling thread."""
 
     r_min: float = 1e-3
     r_max: float = 1e-1
@@ -631,7 +612,7 @@ class FitConfig:
     samples: int = 10**6
     seed: int = DEFAULT_SEED
     with_log_correction: bool = False
-    workers: Optional[int] = None
+    workers: int = 1
 
     def __post_init__(self):
         real = "r_min and r_max must be numbers, got {value!r}"
@@ -643,28 +624,18 @@ class FitConfig:
         require_int(self.seed, 0, "seed must be a nonnegative integer")
         if not isinstance(self.with_log_correction, bool):
             raise InvalidInputError("with_log_correction must be True or False")
-        if self.workers is not None:
-            require_int(self.workers, 1, "workers must be None or an integer >= 1, got {value!r}")
+        require_int(self.workers, 1, "workers must be an integer >= 1, got {value!r}")
 
 
-def fit_exponent(
-    p: SampledPotential,
-    r_min: float = 1e-3,
-    r_max: float = 1e-1,
-    grid_size: int = 12,
-    samples: int = 10**6,
-    seed: int = DEFAULT_SEED,
-    with_log_correction: bool = False,
-    workers: Optional[int] = None,
-) -> ExponentFit:
+def fit_exponent(p: SampledPotential, **settings) -> ExponentFit:
     """Estimate volumes on a geometric radius grid and fit the exponent.
 
-    One common sample set is counted against every radius, so the volume
-    column is exactly nonincreasing as r shrinks.  Least squares on the
-    usable (nonzero) grid points; fitted_c is half the log r slope.
+    ``settings`` are FitConfig's fields, with its defaults.  One common
+    sample set is counted against every radius, so the volume column is
+    exactly nonincreasing as r shrinks.  Least squares on the usable
+    (nonzero) grid points; fitted_c is half the log r slope.
     """
-    config = FitConfig(r_min, r_max, grid_size, samples, seed, with_log_correction, workers)
-    return _fit_all([p], config)[0]
+    return _fit_all([p], FitConfig(**settings))[0]
 
 
 def _fit_all(potentials: Sequence[SampledPotential], config: FitConfig) -> list[ExponentFit]:

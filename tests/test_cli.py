@@ -684,6 +684,40 @@ def test_lct_of_an_exponent_past_the_float_range_is_exact(capsys):
 
 
 # ---------------------------------------------------------------------------
+# exact values too long to print
+
+# Python writes an int of at most 4300 digits as text
+BIG = 10**2200  # diag:BIG,BIG+1 has c = (2 BIG + 1) / (BIG (BIG + 1)), about 4400 digits
+NINES = "9" * 4300
+
+
+def assert_too_long_to_print(rc, out, err):
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "bits is too long to print" in err
+
+
+def test_lct_of_a_threshold_too_long_to_print_exits_1(capsys):
+    assert_too_long_to_print(*run(capsys, "lct", "--spec", f"diag:{BIG},{BIG + 1}"))
+
+
+def test_lct_of_a_resolution_too_long_to_print_exits_1(capsys, tmp_path):
+    path = tmp_path / "resolution.json"
+    path.write_text('{"divisors":[{"a":' + NINES + ',"b":1}]}')
+    assert_too_long_to_print(*run(capsys, "lct", "--resolution", str(path)))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_certificate_too_long_to_print_exits_1(capsys, fmt):
+    argv = ("fano-certify", "--weights", f"1,1,1,{NINES}", "--degree", "3", "--format", fmt)
+    assert_too_long_to_print(*run(capsys, *argv))
+
+
+def test_scan_box_too_large_to_print_exits_1(capsys):
+    assert_too_long_to_print(*run(capsys, "fano-scan", "--max-weight", str(10**1200)))
+
+
+# ---------------------------------------------------------------------------
 # config files and --out
 
 

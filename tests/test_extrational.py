@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lctkit import ExtRational, INFINITY
-from lctkit.errors import InvalidInputError
+from lctkit.errors import InvalidInputError, exact_text
 
 
 def test_construction_variants():
@@ -95,6 +95,20 @@ def test_float_and_str():
     assert str(ExtRational("5/6")) == "5/6"
     assert str(ExtRational(3)) == "3"
     assert str(INFINITY) == "inf"
+
+
+def test_str_of_a_value_too_long_to_print_names_its_size():
+    # Python writes an int of at most 4300 digits as text
+    cases = [
+        (ExtRational(Fraction(1, 10**4300)), "a fraction of 14285 bits"),
+        (ExtRational(-(10**4300)), "a negative integer of 14285 bits"),
+    ]
+    for value, size in cases:
+        with pytest.raises(InvalidInputError, match=f"^{size} is too long to print$"):
+            str(value)
+    assert exact_text(10**4299) == "1" + "0" * 4299
+    with pytest.raises(InvalidInputError, match="^an integer of 14285 bits is too long"):
+        exact_text(10**4300)
 
 
 def test_immutable():

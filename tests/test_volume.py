@@ -2,7 +2,6 @@
 fit behavior, and serialization."""
 
 import importlib
-import inspect
 import json
 import math
 import os
@@ -27,11 +26,9 @@ from lctkit import (
     SampledPotential,
     SeparatedSum,
     binomial_family,
-    diagonal_potential,
     estimate_sublevel_volume,
     fit_exponent,
     FitConfig,
-    monomial_potential,
     parse_spec,
     potential_from_spec,
     semicontinuity_experiment,
@@ -51,7 +48,7 @@ def zero_potential(n=1):
 
 def test_disk_area_law():
     # {log|z| < log r} is the disk of radius r, volume pi r^2
-    p = monomial_potential([1])
+    p = potential_from_spec(PrincipalMonomial((1,)))
     est, err = estimate_sublevel_volume(p, 0.5, samples=200_000, seed=SEED)
     assert type(est) is float and type(err) is float
     assert err > 0
@@ -60,7 +57,7 @@ def test_disk_area_law():
 
 def test_bidisk_product_volume():
     # mu({|z1 z2| < r}) on the unit bidisk = pi^2 r^2 (1 + 2 ln(1/r))
-    p = monomial_potential([1, 1])
+    p = potential_from_spec(PrincipalMonomial((1, 1)))
     r = 0.1
     exact = math.pi**2 * r * r * (1 + 2 * math.log(1 / r))
     est, err = estimate_sublevel_volume(p, r, samples=200_000, seed=SEED)
@@ -83,14 +80,14 @@ def test_scaled_polydisk_volume():
 
 
 def test_same_seed_same_answer():
-    p = monomial_potential([2, 1])
+    p = potential_from_spec(PrincipalMonomial((2, 1)))
     a = estimate_sublevel_volume(p, 0.3, samples=50_000, seed=SEED)
     b = estimate_sublevel_volume(p, 0.3, samples=50_000, seed=SEED)
     assert a == b
 
 
 def test_worker_count_does_not_change_counts():
-    p = monomial_potential([2, 1])
+    p = potential_from_spec(PrincipalMonomial((2, 1)))
     serial = estimate_sublevel_volume(p, 0.3, samples=300_000, seed=SEED, workers=1)
     threaded = estimate_sublevel_volume(p, 0.3, samples=300_000, seed=SEED, workers=4)
     assert serial == threaded
@@ -114,7 +111,7 @@ def test_worker_count_is_capped_by_the_cpu_count(monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(volume, "ThreadPoolExecutor", RecordingPool)
-    p = monomial_potential([1])
+    p = potential_from_spec(PrincipalMonomial((1,)))
 
     def pool_sizes(workers, chunks=5):
         pools.clear()
@@ -124,14 +121,14 @@ def test_worker_count_is_capped_by_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert pool_sizes(100_000) == [3]
     assert pool_sizes(2) == [2]
-    assert pool_sizes(None) == []  # one worker: the calling thread, no pool
+    assert pool_sizes(1) == []  # one worker: the calling thread, no pool
     assert pool_sizes(100_000, chunks=2) == [2]  # at most one worker per chunk
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
     assert pool_sizes(100_000) == []
 
 
 def test_different_seeds_differ():
-    p = monomial_potential([1])
+    p = potential_from_spec(PrincipalMonomial((1,)))
     a, _ = estimate_sublevel_volume(p, 0.3, samples=50_000, seed=1)
     b, _ = estimate_sublevel_volume(p, 0.3, samples=50_000, seed=2)
     assert a != b
@@ -183,7 +180,7 @@ def test_count_below_matches_the_broadcast_compare_property(phi, thresholds):
 
 
 def test_estimate_argument_errors():
-    p = monomial_potential([1])
+    p = potential_from_spec(PrincipalMonomial((1,)))
     with pytest.raises(InvalidInputError):
         estimate_sublevel_volume(p, 0.0, samples=1000)
     with pytest.raises(InvalidInputError):
@@ -224,7 +221,8 @@ def test_chunk_budget_is_checked_before_any_draw():
     with pytest.raises(InvalidInputError, match="MiB"):
         volume._require_chunk_budget(moduli, 4097)
     # the compare that once took 1 byte per sample and radius is gone: 993 radii fit
-    fit = fit_exponent(monomial_potential([1]), r_min=0.3, r_max=0.9, grid_size=993, samples=1000)
+    p = potential_from_spec(PrincipalMonomial((1,)))
+    fit = fit_exponent(p, r_min=0.3, r_max=0.9, grid_size=993, samples=1000)
     assert len(fit.radii) == 993
 
 
@@ -286,8 +284,8 @@ def test_chunk_charge_is_what_one_chunk_takes():
         assert peak <= charge
         worst[per_variable] = max(worst[per_variable], peak / (volume._CHUNK * p.dimension))
     # each path's charge is its worst measured case rounded up: 30.0 bytes per
-    # sample and variable for the coordinate form of ssum(mono:1;mono:1), 13.0
-    # for mono:1,0; the polar forms of separated sums take 19.0-22.0
+    # sample and variable for the coordinate form of ssum(mono:1;mono:1), 12.0
+    # for mono:1; the polar forms of separated sums take 19.0-22.0
     assert volume._COORDINATE_BYTES - 8 < worst[volume._COORDINATE_BYTES]
     assert volume._MODULI_BYTES - 8 < worst[volume._MODULI_BYTES]
 
@@ -305,7 +303,7 @@ def test_chunk_charge_covers_a_chunk_no_longer_than_a_block():
         charge = volume._chunk_charge(p, volume._BLOCK) + thresholds.size * volume._RADIUS_BYTES
         assert peak <= charge
         worst[per_variable] = max(worst[per_variable], peak / (volume._BLOCK * p.dimension))
-    # 72.0 bytes per sample and variable for the coordinate form, 28.0 for mono:1,0
+    # 72.0 bytes per sample and variable for the coordinate form, 24.1 for mono:1
     assert worst[volume._COORDINATE_BYTES] > 2 * volume._COORDINATE_BYTES
     assert worst[volume._MODULI_BYTES] > volume._MODULI_BYTES
 
@@ -371,9 +369,11 @@ def test_sample_count_is_bounded_before_any_seed_is_spawned(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
     limit = volume._MAX_CHUNKS * volume._CHUNK
     with pytest.raises(InvalidInputError, match=f"samples must be at most {limit}"):
-        estimate_sublevel_volume(monomial_potential([1]), 0.5, samples=limit + 1)
+        estimate_sublevel_volume(
+            potential_from_spec(PrincipalMonomial((1,))), 0.5, samples=limit + 1
+        )
     with pytest.raises(InvalidInputError, match="at most"):
-        fit_exponent(monomial_potential([1]), samples=10**12)
+        fit_exponent(potential_from_spec(PrincipalMonomial((1,))), samples=10**12)
 
 
 def test_potential_validation():
@@ -474,7 +474,7 @@ def sample_coords(n, rng):
 def test_monomial_potential_matches_closed_form():
     rng = np.random.default_rng(0)
     coords = sample_coords(3, rng)
-    p = monomial_potential([2, 0, 1])
+    p = potential_from_spec(PrincipalMonomial((2, 0, 1)))
     z = coords[:, 0::2] + 1j * coords[:, 1::2]
     expected = 2 * np.log(np.abs(z[:, 0])) + np.log(np.abs(z[:, 2]))
     np.testing.assert_allclose(p.evaluator(coords), expected, rtol=1e-12)
@@ -493,7 +493,7 @@ def test_monomial_potential_at_a_vanishing_coordinate_of_exponent_0():
 def test_diagonal_potential_matches_closed_form():
     rng = np.random.default_rng(1)
     coords = sample_coords(2, rng)
-    p = diagonal_potential([2, 3])
+    p = potential_from_spec(Diagonal((2, 3)))
     z = coords[:, 0::2] + 1j * coords[:, 1::2]
     expected = np.log(np.abs(z[:, 0]) ** 2 + np.abs(z[:, 1]) ** 3)
     np.testing.assert_allclose(p.evaluator(coords), expected, rtol=1e-12)
@@ -529,11 +529,11 @@ def test_potential_from_spec_dispatch():
     coords = sample_coords(2, rng)
     np.testing.assert_array_equal(
         potential_from_spec(parse_spec("mono:2,1")).evaluator(coords),
-        monomial_potential([2, 1]).evaluator(coords),
+        potential_from_spec(PrincipalMonomial((2, 1))).evaluator(coords),
     )
     np.testing.assert_array_equal(
         potential_from_spec(parse_spec("diag:2,3")).evaluator(coords),
-        diagonal_potential([2, 3]).evaluator(coords),
+        potential_from_spec(Diagonal((2, 3))).evaluator(coords),
     )
 
 
@@ -551,8 +551,8 @@ def test_direct_sum_potential_combines_blocks():
     coords = sample_coords(2, rng)
     p = potential_from_spec(DirectSum(Diagonal((2,)), Diagonal((3,))))
     assert p.dimension == 2
-    left = diagonal_potential([2]).evaluator(coords[:, :2])
-    right = diagonal_potential([3]).evaluator(coords[:, 2:])
+    left = potential_from_spec(Diagonal((2,))).evaluator(coords[:, :2])
+    right = potential_from_spec(Diagonal((3,))).evaluator(coords[:, 2:])
     np.testing.assert_allclose(p.evaluator(coords), np.logaddexp(left, right), rtol=1e-12)
 
 
@@ -783,6 +783,31 @@ def test_family_baseline_is_the_monomial_and_draws_no_angles(monkeypatch):
     estimate_sublevel_volume(family(-0.0), 0.5, samples=1000, seed=SEED)
 
 
+@pytest.mark.parametrize("m, p", [(2, 3), (3, 2), (5, 1)])
+def test_family_baseline_is_the_potential_of_mono_m_0(m, p):
+    baseline = binomial_family(m, p)(0.0)
+    spec_potential = potential_from_spec(PrincipalMonomial((m, 0)))
+    assert (baseline.dimension, baseline.radius, baseline.angles) == (2, (1.0, 1.0), False)
+    # with a vanishing first coordinate, a vanishing second one and a vanishing point
+    sq, _ = polar_points(2, np.random.default_rng(11))
+    sq.flags.writeable = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = baseline.phi(sq, None)
+    assert phi.tobytes() == spec_potential.phi(sq, None).tobytes()
+    with np.errstate(divide="ignore"):
+        np.testing.assert_allclose(phi, 0.5 * m * np.log(sq[:, 0]), rtol=1e-15)
+    assert np.isneginf(phi[:50]).all() and np.isfinite(phi[50:100]).all()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_family_baseline_counts_are_those_of_mono_m_0(workers):
+    config = FitConfig(samples=300_001, seed=SEED, workers=workers)
+    family_fit = fit_exponent(binomial_family(2, 3)(0.0), **vars(config))
+    spec_fit = fit_exponent(potential_from_spec(PrincipalMonomial((2, 0))), **vars(config))
+    assert family_fit == spec_fit
+
+
 @pytest.mark.parametrize("t", [-1.0, -0.5, 0.0, 0.1, 1.0, 2.0])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_family_counts_equal_the_coordinate_path(t, workers):
@@ -861,7 +886,7 @@ def test_binomial_family():
 def test_fit_area_law_exponent():
     # default grid and sample count; the innermost radius may round to a
     # zero count and drop out, the slope must still be the area law
-    fit = fit_exponent(monomial_potential([1]))
+    fit = fit_exponent(potential_from_spec(PrincipalMonomial((1,))))
     assert 0.97 <= fit.fitted_c <= 1.03
     assert fit.fitted_log_power is None
     assert fit.r_squared > 0.98
@@ -872,7 +897,7 @@ def test_fit_volumes_exactly_monotone():
     # one common sample set across the grid makes the volume column
     # nonincreasing exactly, not just within noise
     fit = fit_exponent(
-        monomial_potential([2, 1]),
+        potential_from_spec(PrincipalMonomial((2, 1))),
         r_min=1e-3,
         r_max=0.2,
         grid_size=10,
@@ -885,7 +910,7 @@ def test_fit_volumes_exactly_monotone():
 
 def test_fit_with_log_correction_recovers_product_exponent():
     fit = fit_exponent(
-        monomial_potential([1, 1]),
+        potential_from_spec(PrincipalMonomial((1, 1))),
         r_min=1e-2,
         r_max=0.2,
         grid_size=10,
@@ -899,7 +924,7 @@ def test_fit_with_log_correction_recovers_product_exponent():
 
 def test_fit_excludes_zero_count_radii():
     fit = fit_exponent(
-        monomial_potential([1]),
+        potential_from_spec(PrincipalMonomial((1,))),
         r_min=1e-3,
         r_max=0.5,
         grid_size=6,
@@ -920,7 +945,7 @@ def test_fit_insufficient_data():
 
 
 def test_fit_argument_errors():
-    p = monomial_potential([1])
+    p = potential_from_spec(PrincipalMonomial((1,)))
     with pytest.raises(InvalidInputError):
         fit_exponent(p, r_min=0.5, r_max=0.1)
     with pytest.raises(InvalidInputError):
@@ -954,6 +979,7 @@ BAD_FIT_FIELDS = [
     {"workers": 2.5},
     {"workers": True},
     {"workers": "2"},
+    {"workers": None},
 ]
 
 
@@ -963,13 +989,13 @@ def test_fit_config_refuses_bad_fields_when_built(monkeypatch, bad):
 
     def family(t):
         calls.append(t)
-        return monomial_potential([1])
+        return potential_from_spec(PrincipalMonomial((1,)))
 
     built = counted_generators(monkeypatch)
     with pytest.raises(InvalidInputError):
         FitConfig(**bad)
     with pytest.raises(InvalidInputError):
-        fit_exponent(monomial_potential([1]), **bad)
+        fit_exponent(potential_from_spec(PrincipalMonomial((1,))), **bad)
     with pytest.raises(InvalidInputError):
         semicontinuity_experiment(family, [0.0, 1.0], config=FitConfig(**bad))
     assert calls == [] and built == []
@@ -984,8 +1010,12 @@ def test_fit_config_accepts_the_edges():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: estimate_sublevel_volume(monomial_potential([1]), "0.5", samples=1000),
-        lambda: estimate_sublevel_volume(monomial_potential([1]), None, samples=1000),
+        lambda: estimate_sublevel_volume(
+            potential_from_spec(PrincipalMonomial((1,))), "0.5", samples=1000
+        ),
+        lambda: estimate_sublevel_volume(
+            potential_from_spec(PrincipalMonomial((1,))), None, samples=1000
+        ),
         lambda: semicontinuity_experiment(binomial_family(2, 2), [0.0], tolerance="0.1"),
         lambda: SampledPotential(lambda c: c, 1, radius="0.5"),
         lambda: SampledPotential(lambda c: c, 2, radius="12"),
@@ -1004,11 +1034,8 @@ def test_non_numeric_inputs_raise_invalid_input(call):
 
 
 def test_fit_config_fields_are_fit_exponent_keywords():
-    # fit_exponent builds a FitConfig from its keywords in this order, the
-    # CLI copies its fit flags by field name, and callers run
-    # fit_exponent(p, **vars(config))
-    params = list(inspect.signature(fit_exponent).parameters.values())[1:]
-    assert [(q.name, q.default) for q in params] == list(vars(FitConfig()).items())
+    # fit_exponent takes FitConfig's fields as its keywords, and the CLI
+    # copies its fit flags by field name, with FitConfig's defaults
     args = cli._build_parser().parse_args(["volume-fit", "--spec", "mono:1"])
     assert cli._fit_config(args) == FitConfig()
 
@@ -1026,7 +1053,7 @@ def test_estimate_is_the_r_max_row_of_a_fit(text, workers):
 
 def test_fit_serialization():
     fit = fit_exponent(
-        monomial_potential([1]),
+        potential_from_spec(PrincipalMonomial((1,))),
         r_min=0.05,
         r_max=0.5,
         grid_size=4,
@@ -1118,7 +1145,7 @@ def test_semicontinuity_binomial_family():
 
 def test_semicontinuity_constant_family_is_flat():
     def family(t):
-        return monomial_potential([1])
+        return potential_from_spec(PrincipalMonomial((1,)))
 
     report = semicontinuity_experiment(family, [0.0, 1.0], config=SMALL_FIT)
     assert report.fits[0].fitted_c == report.fits[1].fitted_c
@@ -1197,7 +1224,7 @@ def test_semicontinuity_refuses_non_finite_t_before_any_draw(monkeypatch, t):
 
     def family(s):
         called.append(s)
-        return monomial_potential([1])
+        return potential_from_spec(PrincipalMonomial((1,)))
 
     built = counted_generators(monkeypatch)
     with pytest.raises(InvalidInputError, match="t must be finite"):
