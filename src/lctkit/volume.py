@@ -35,6 +35,14 @@ share its chunk.  phi must be pointwise (row i of its value depends only
 on row i of its arguments): it is called on the row blocks of a chunk,
 and its counts are those of the whole chunk.
 
+A potential may carry a floor, a lower bound of phi from the squared
+moduli alone; separated sums carry one (log|a - b| for two terms).  On
+each row block the sampler computes the floor first and evaluates phi
+only on the rows whose floor is below the largest threshold plus a
+margin far above rounding, gathered into new arrays: a row it skips has
+phi above every threshold, so no count changes, and the cosines of the
+rows far from the zero set of f are never taken.
+
 Every fit goes through one path, which fits a list of potentials on one
 shared sample set: each chunk is drawn once per polydisk, and the
 potentials on it are evaluated and counted in turn.  A volume fit is the
@@ -89,13 +97,23 @@ _CHUNK_BYTES = 1 << 27
 # evaluation the rest.  A potential of the angles is charged what one given
 # on coordinates takes, which tracemalloc measures at 24-30 (draws,
 # interleaved coordinates and a complex copy in the evaluator); separated
-# sums take 19-22, and potentials of the moduli 10-12.
+# sums take 19-26, the most where their floor keeps nearly every row and
+# the kept rows are gathered, and potentials of the moduli 9-11.
 _COORDINATE_BYTES = 32
 _MODULI_BYTES = 16
 
 # Bytes charged per grid radius: a chunk's count arrays and the fit's result
 # rows, up to its JSON rendering, which tracemalloc measures at about 430.
 _RADIUS_BYTES = 512
+
+# Log units a row's floor must pass the largest threshold by before its phi
+# is skipped.  A floor shares its potential's float operations up to the
+# last few, so it passes phi by rounding alone: a few units in the last
+# place of phi, about 1e-15 at |phi| = 2.3 and 1e-13 at log of the
+# smallest positive float, -745, the lowest threshold a fit takes.  1e-9
+# is far above that; a row whose floor lies less than 1e-9 above the
+# largest threshold is evaluated, not skipped.
+_FLOOR_MARGIN = 1e-9
 
 # Chunks one sampling call may spawn seeds for, 2^32 samples: every chunk
 # holds a list entry and a SeedSequence (about 450 bytes) from the start.
@@ -126,17 +144,29 @@ class SampledPotential:
     sampling passes them read-only, because every potential counted on a
     chunk reads the same arrays, and draws the next chunk into the same
     buffers.
+
+    ``floor(sq)``, if given, maps the squared moduli alone to an (N,) array
+    of lower bounds of phi as computed in floats, up to a few units in the
+    last place; NaN bounds nothing.  It must be pointwise, and may neither
+    modify nor keep its argument, as phi.  Sampling calls it on each row
+    block, and calls phi only on the rows whose floor is not at or above
+    the largest threshold plus _FLOOR_MARGIN, gathered into new read-only
+    arrays: a row it skips has phi above every threshold and counts
+    nowhere, so the counts are those of phi on every row.
     """
 
     phi: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
     dimension: int
     radius: tuple[float, ...] = (1.0,)
     angles: bool = True
+    floor: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         require_int(self.dimension, 1, "dimension must be a positive integer")
         if not callable(self.phi):
             raise InvalidInputError("phi must be callable")
+        if self.floor is not None and not callable(self.floor):
+            raise InvalidInputError("floor must be callable or None")
         if not isinstance(self.angles, bool):
             raise InvalidInputError("angles must be True or False")
         r = self.radius if isinstance(self.radius, (tuple, list, np.ndarray)) else (self.radius,)
@@ -201,18 +231,22 @@ def _floats(exponents: Sequence[int]) -> np.ndarray:
 def _column_sum(x: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """sum_i w_i x[:, i] over the nonzero weights, so a column of weight 0
     adds nothing even where it is infinite."""
-    out = np.zeros(x.shape[0])
+    out = None
     for i, w in enumerate(weights):
-        if w:
+        if not w:
+            continue
+        if out is None:
+            out = np.multiply(x[:, i], w)
+        else:
             out += w * x[:, i]
-    return out
+    return np.zeros(x.shape[0]) if out is None else out
 
 
 def _binomial_polar(
     left: PrincipalMonomial, right: PrincipalMonomial, c: float
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """The polar form of log|z^alpha + c z^beta|, c != 0, with z^alpha on
-    the first variables and z^beta on the ones after them.
+    the first variables and z^beta on the ones after them, and its floor.
 
     With a = |z^alpha|, b = |c z^beta| and h half the difference of their
     phases, |z^alpha + c z^beta|^2 = (a - b)^2 + 4ab cos^2 h, where c < 0
@@ -220,14 +254,19 @@ def _binomial_polar(
     cancels.  They are divided by the square of the larger modulus, which
     is computed by its log, so no square underflows: with rho the ratio of
     the smaller modulus to the larger, phi = log max(a, b)
-    + log((1 - rho)^2 + 4 rho cos^2 h) / 2."""
+    + log((1 - rho)^2 + 4 rho cos^2 h) / 2.  The floor drops the second
+    term: log|a - b| = log max(a, b) + log(1 - rho), from the same log
+    max(a, b) and 1 - rho as phi.  (log1p(-rho) is no closer in floats
+    than the 1 - rho phi squares, and numpy runs it as scalar code, about
+    8 times as slow as log.)"""
     alpha = _floats(left.exponents + (0,) * right.nvars) / 2.0
     beta = _floats((0,) * left.nvars + right.exponents) / 2.0
     log_c = math.log(abs(c))
     trig = np.cos if c > 0 else np.sin
     half_gap = alpha - beta
 
-    def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def moduli(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log max(a, b) and rho."""
         with np.errstate(divide="ignore"):
             log_sq = np.log(sq)
         big = _column_sum(log_sq, alpha)
@@ -235,10 +274,14 @@ def _binomial_polar(
         del log_sq
         small += log_c
         big, small = np.maximum(big, small), np.minimum(big, small, out=small)
-        # rho, and 0 where both moduli vanish
-        rho = np.full_like(big, -np.inf)
-        np.subtract(small, big, out=rho, where=big > -np.inf)
+        with np.errstate(invalid="ignore"):  # NaN where both moduli vanish
+            rho = np.subtract(small, big, out=small)
         rho = np.exp(rho, out=rho)
+        rho[np.isnan(rho)] = 0.0  # a vanishing point has rho 0 and phi -inf
+        return big, rho
+
+    def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        big, rho = moduli(sq)
         h = _column_sum(theta, half_gap)
         cross = trig(h, out=h)
         cross *= cross
@@ -253,25 +296,43 @@ def _binomial_polar(
         phi += big
         return phi
 
-    return polar
+    def floor(sq: np.ndarray) -> np.ndarray:
+        big, rho = moduli(sq)
+        gap = np.subtract(1.0, rho, out=rho)
+        with np.errstate(divide="ignore"):  # -inf where a = b
+            gap = np.log(gap, out=gap)
+        gap += big
+        return gap
+
+    return polar, floor
 
 
 def _polynomial_polar(
     terms: Sequence[PrincipalMonomial],
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """The polar form of log|z^alpha_1 + ... + z^alpha_k|, each monomial on
-    the variables after those of the one before it.
+    the variables after those of the one before it, and its floor.
 
     Term j has log-modulus l_j = sum_i alpha_ji log|z_i| and phase
     sum_i alpha_ji theta_i.  With l the largest l_j and w_j = exp(l_j - l)
     <= 1, the sum is exp(l) (Re + i Im) with Re and Im the sums of w_j
     times the cosines and the sines of the phases, so phi = l
-    + log(Re^2 + Im^2) / 2, and no modulus underflows."""
+    + log(Re^2 + Im^2) / 2, and no modulus underflows.
+
+    The largest term less the others bounds the sum's modulus from below:
+    the floor is l + log(1 - sum of the other w_j) where that is positive
+    and -inf elsewhere, less a rounding allowance.  Re and Im each add k
+    rounded products of a w_j and a cosine or a sine, so the modulus phi
+    takes the log of is within about (2k + 8) 2^-53 times the sum of the
+    w_j of one at least 1 - sum of the other w_j; the floor takes
+    8 (k + 4) 2^-53 times that sum off, so it stays below phi as computed."""
     offsets = accumulate((term.nvars for term in terms), initial=0)
     alphas = [_floats(t.exponents) for t in terms]
     blocks = [(slice(k, k + a.size), a / 2, a) for k, a in zip(offsets, alphas)]
+    allowance = 1.0 + (len(blocks) + 4) * 2.0**-50
 
-    def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def weights(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """l and the rows of w_j."""
         with np.errstate(divide="ignore"):
             log_sq = np.log(sq)
         logs = np.empty((len(blocks), sq.shape[0]))
@@ -279,21 +340,39 @@ def _polynomial_polar(
             log_j[:] = _column_sum(log_sq[:, block], half)
         del log_sq
         big = logs.max(axis=0)
-        re, im = np.zeros_like(big), np.zeros_like(big)
-        for w, (block, _, alpha) in zip(logs, blocks):
+        for w in logs:
             # w_j, and 0 where every term vanishes
             np.subtract(w, big, out=w, where=big > -np.inf)
-            w = np.exp(w, out=w)
+            np.exp(w, out=w)
+        return big, logs
+
+    def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        big, w = weights(sq)
+        re, im = np.zeros_like(big), np.zeros_like(big)
+        for w_j, (block, _, alpha) in zip(w, blocks):
             phase = _column_sum(theta[:, block], alpha)
-            re += w * np.cos(phase)
-            im += w * np.sin(phase, out=phase)
+            re += w_j * np.cos(phase)
+            im += w_j * np.sin(phase, out=phase)
+        del w
         modulus = np.hypot(re, im, out=re)
         with np.errstate(divide="ignore"):
             phi = np.log(modulus, out=modulus)
         phi += big
         return phi
 
-    return polar
+    def floor(sq: np.ndarray) -> np.ndarray:
+        big, w = weights(sq)
+        # 1 - (the others' sum) = 2 - (every w_j's sum), one w_j being 1
+        gap = w.sum(axis=0)
+        del w
+        gap *= -allowance
+        gap += 2.0
+        out = np.full_like(gap, -np.inf)
+        np.log(gap, out=out, where=gap > 0.0)
+        out += big
+        return out
+
+    return polar, floor
 
 
 def _monomials(spec: MonomialIdealSpec) -> list[PrincipalMonomial]:
@@ -308,9 +387,10 @@ def _monomials(spec: MonomialIdealSpec) -> list[PrincipalMonomial]:
     )
 
 
-def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool]:
-    """The phi of a spec's potential (see :func:`potential_from_spec`) and
-    whether it reads the angles, built by recursion over the spec."""
+def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool, Optional[Callable]]:
+    """The phi of a spec's potential (see :func:`potential_from_spec`),
+    whether it reads the angles, and its floor, built by recursion over the
+    spec."""
     # Each leaf of the moduli takes a contiguous copy of its block, which a
     # direct sum passes down as a column view, so it sees the bytes it would
     # see on its own (numpy may run other SIMD loops on strided data) and
@@ -319,8 +399,22 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool]:
         alpha = _floats(spec.exponents)
         unused = alpha == 0
         half = alpha / 2.0
+        (read,) = np.nonzero(~unused)
+        if read.size == 1:
+            column, scale = int(read[0]), float(half[read[0]])
+
+            def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
+                # the log of the one column of nonzero exponent, times its
+                # weight: the value the product below takes, as its only term
+                with np.errstate(divide="ignore"):
+                    log_sq = np.log(np.ascontiguousarray(sq[:, column]))
+                log_sq *= scale
+                return log_sq
+
+            return monomial, False, None
 
         def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
+            # the log of a contiguous block beats logs of its strided columns
             with np.errstate(divide="ignore"):
                 log_sq = np.log(np.ascontiguousarray(sq))
             # a vanishing coordinate of exponent 0 adds nothing, where
@@ -328,7 +422,7 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool]:
             log_sq[:, unused] = 0.0
             return log_sq @ half
 
-        return monomial, False
+        return monomial, False, None
     if isinstance(spec, Diagonal):
         half = _floats(spec.orders) / 2.0
 
@@ -337,9 +431,9 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool]:
             with np.errstate(divide="ignore"):
                 return np.log(np.sum(sq**half, axis=1))
 
-        return diagonal, False
+        return diagonal, False, None
     if isinstance(spec, DirectSum):
-        (left, left_angles), (right, right_angles) = _form(spec.left), _form(spec.right)
+        (left, left_angles, _), (right, right_angles, _) = _form(spec.left), _form(spec.right)
         k = spec.left.nvars
 
         def direct_sum(sq: np.ndarray, theta: Optional[np.ndarray]) -> np.ndarray:
@@ -348,10 +442,11 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool]:
                 right(sq[:, k:], theta[:, k:] if right_angles else None),
             )
 
-        return direct_sum, left_angles or right_angles
+        return direct_sum, left_angles or right_angles, None
     if isinstance(spec, SeparatedSum):
         terms = _monomials(spec)
-        return (_binomial_polar(*terms, 1.0) if len(terms) == 2 else _polynomial_polar(terms)), True
+        polar, floor = _binomial_polar(*terms, 1.0) if len(terms) == 2 else _polynomial_polar(terms)
+        return polar, True, floor
     raise InvalidInputError(f"expected a monomial ideal spec, got {type(spec).__name__}")
 
 
@@ -365,10 +460,11 @@ def potential_from_spec(
     combine via logaddexp (the max-equivalent potential of an ideal sum).
     The potentials of principal monomials, diagonal ideals and their direct
     sums depend only on the moduli and read no angles.  A separated sum is
-    evaluated in polar form from its monomials' moduli and phases.
+    evaluated in polar form from its monomials' moduli and phases, and has
+    the floor of its largest term less the others.
     """
-    phi, angles = _form(spec)
-    return SampledPotential(phi, spec.nvars, radius, angles)
+    phi, angles, floor = _form(spec)
+    return SampledPotential(phi, spec.nvars, radius, angles, floor)
 
 
 def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
@@ -377,7 +473,7 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
     At t = 0 the exact exponent is 1/m; for t != 0 it is min(1, 1/m + 1/p).
     The member at t = 0 is the principal monomial z1^m, the potential of
     the spec ``mono:m,0``, built once per family; it reads no angles.  The
-    others are evaluated in the polar form of a binomial.
+    others are evaluated in the polar form of a binomial, with its floor.
     """
     require_int(m, 1, "exponent m must be an integer >= 1, got {value!r}")
     require_int(p, 1, "exponent p must be an integer >= 1, got {value!r}")
@@ -387,7 +483,10 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
 
     def make(t: float) -> SampledPotential:
         tt = require_real(t, "family parameter t must be a finite number, got {value!r}")
-        return SampledPotential(_binomial_polar(left, right, tt), 2) if tt != 0.0 else baseline
+        if tt == 0.0:
+            return baseline
+        phi, floor = _binomial_polar(left, right, tt)
+        return SampledPotential(phi, 2, floor=floor)
 
     return make
 
@@ -434,6 +533,23 @@ def _count_below(phi: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.cumsum(np.bincount(slots, minlength=edges.size), dtype=np.int64)
 
 
+def _values(values, rows: int, name: str) -> np.ndarray:
+    """A potential's phi or floor on ``rows`` rows as an (rows,) float array."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (rows,):
+        raise InvalidInputError(
+            f"{name} returned shape {values.shape} on {rows} rows, expected ({rows},)"
+        )
+    return values
+
+
+def _gather(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows ``keep`` of an array, as a new read-only array."""
+    kept = np.take(rows, keep, axis=0)
+    kept.flags.writeable = False
+    return kept
+
+
 def _sample_group(
     potentials: Sequence[SampledPotential],
     log_thresholds: np.ndarray,
@@ -445,7 +561,9 @@ def _sample_group(
     phi < each threshold, and the volumes and binomial standard errors they
     give.  The potentials share one dimension and polydisk radius, and every
     chunk is drawn once and counted against each of them in turn, one row
-    block of _BLOCK samples at a time.
+    block of _BLOCK samples at a time.  A potential with a floor is
+    evaluated only on the rows of a block whose floor is below the cap, the
+    largest threshold plus _FLOOR_MARGIN; the rows it skips count nowhere.
 
     Chunked so results are bit-identical for any worker count: chunk
     boundaries depend only on the sample count, chunk seeds only on the
@@ -463,6 +581,7 @@ def _sample_group(
     angles = any(p.angles for p in potentials)
     order = np.argsort(log_thresholds, kind="stable")
     edges = log_thresholds[order]
+    cap = edges[-1] + _FLOOR_MARGIN
     nworkers = min(workers, os.cpu_count() or 1, len(sizes))
 
     def worker(start: int) -> np.ndarray:
@@ -487,13 +606,18 @@ def _sample_group(
             for lo in range(0, sizes[i], _BLOCK):
                 sq_rows = sq[lo : lo + _BLOCK]
                 theta_rows = theta[lo : lo + _BLOCK] if angles else None
-                rows = sq_rows.shape[0]
                 for k, p in enumerate(potentials):
-                    phi = np.asarray(p.phi(sq_rows, theta_rows if p.angles else None), dtype=float)
-                    if phi.shape != (rows,):
-                        raise InvalidInputError(
-                            f"phi returned shape {phi.shape} on {rows} rows, expected ({rows},)"
-                        )
+                    args = (sq_rows, theta_rows if p.angles else None)
+                    if p.floor is not None:
+                        floor = _values(p.floor(sq_rows), sq_rows.shape[0], "floor")
+                        # phi >= floor >= cap > every threshold; a NaN floor keeps its row
+                        keep = np.flatnonzero(~(floor >= cap))
+                        del floor
+                        if not keep.size:
+                            continue
+                        args = tuple(a if a is None else _gather(a, keep) for a in args)
+                    phi = _values(p.phi(*args), args[0].shape[0], "phi")
+                    del args  # the gathered rows
                     counts[k] += _count_below(phi, edges)
                     del phi  # one phi alive at a time
         return counts

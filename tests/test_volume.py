@@ -1,6 +1,7 @@
 """Monte-Carlo sublevel volumes: closed-form agreement, determinism,
 fit behavior, and serialization."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -284,8 +285,8 @@ def test_chunk_charge_is_what_one_chunk_takes():
         assert peak <= charge
         worst[per_variable] = max(worst[per_variable], peak / (volume._CHUNK * p.dimension))
     # each path's charge is its worst measured case rounded up: 30.0 bytes per
-    # sample and variable for the coordinate form of ssum(mono:1;mono:1), 12.0
-    # for mono:1; the polar forms of separated sums take 19.0-22.0
+    # sample and variable for the coordinate form of ssum(mono:1;mono:1), 11.0
+    # for mono:2,1; the polar forms of separated sums take 19.0-25.6
     assert volume._COORDINATE_BYTES - 8 < worst[volume._COORDINATE_BYTES]
     assert volume._MODULI_BYTES - 8 < worst[volume._MODULI_BYTES]
 
@@ -303,7 +304,7 @@ def test_chunk_charge_covers_a_chunk_no_longer_than_a_block():
         charge = volume._chunk_charge(p, volume._BLOCK) + thresholds.size * volume._RADIUS_BYTES
         assert peak <= charge
         worst[per_variable] = max(worst[per_variable], peak / (volume._BLOCK * p.dimension))
-    # 72.0 bytes per sample and variable for the coordinate form, 24.1 for mono:1
+    # 72.1 bytes per sample and variable for the coordinate form, 20.1 for mono:2,1
     assert worst[volume._COORDINATE_BYTES] > 2 * volume._COORDINATE_BYTES
     assert worst[volume._MODULI_BYTES] > volume._MODULI_BYTES
 
@@ -390,6 +391,9 @@ def test_potential_validation():
     for angles in ("no", 1, None):
         with pytest.raises(InvalidInputError, match="angles must be True or False"):
             SampledPotential(lambda sq, theta: sq[:, 0], 1, angles=angles)
+    for floor in ("no", 1.0, np.zeros(3)):
+        with pytest.raises(InvalidInputError, match="floor must be callable or None"):
+            SampledPotential(lambda sq, theta: sq[:, 0], 1, floor=floor)
     with pytest.raises(InvalidInputError, match="evaluator must be callable"):
         SampledPotential.from_evaluator("no", 1)
     with pytest.raises(InvalidInputError):
@@ -431,6 +435,19 @@ def test_evaluator_shape_is_checked():
     whole_chunk = SampledPotential(lambda sq, theta: np.zeros(volume._CHUNK), 1, angles=False)
     with pytest.raises(InvalidInputError, match=r"\(131072,\) on 32768 rows, expected \(32768,\)"):
         estimate_sublevel_volume(whole_chunk, 0.5, samples=volume._CHUNK, seed=SEED)
+    # so is a floor's, and phi's on the rows that the floor keeps
+    for floor in (lambda sq: np.zeros((sq.shape[0], 1)), lambda sq: np.zeros(volume._CHUNK)):
+        bad = SampledPotential(whole_chunk.phi, 1, angles=False, floor=floor)
+        with pytest.raises(InvalidInputError, match=r"floor returned shape .* on 32768 rows"):
+            estimate_sublevel_volume(bad, 0.5, samples=volume._CHUNK, seed=SEED)
+    kept = SampledPotential(
+        lambda sq, theta: np.zeros(sq.shape[0]), 1, angles=False,
+        floor=lambda sq: np.where(sq[:, 0] < 0.5, -np.inf, 0.0),
+    )
+    estimate_sublevel_volume(kept, 0.5, samples=volume._CHUNK, seed=SEED)
+    whole_block = dataclasses.replace(kept, phi=lambda sq, theta: np.zeros(volume._BLOCK))
+    with pytest.raises(InvalidInputError, match=r"phi returned shape \(32768,\) on 1[0-9]{4} rows"):
+        estimate_sublevel_volume(whole_block, 0.5, samples=volume._CHUNK, seed=SEED)
 
 
 def test_sampling_passes_its_arrays_read_only():
@@ -461,6 +478,19 @@ def test_sampling_passes_its_arrays_read_only():
     # a potential of the moduli gets no angles on a chunk that has them
     volume._sample_group([with_moduli, with_polar], np.array([0.5]), 1000, SEED, 1)
     assert seen == [False] * 7
+
+    # a floor reads the block's squared moduli, and phi its gathered rows
+    def floor(sq):
+        seen.append(sq.flags.writeable)
+        return np.where(sq[:, 0] < 0.5, -np.inf, np.inf)
+
+    def gathered(sq, theta):
+        seen.extend([sq.flags.writeable, theta.flags.writeable, sq.flags.owndata])
+        assert (sq[:, 0] < 0.5).all()
+        return np.zeros(sq.shape[0])
+
+    estimate_sublevel_volume(SampledPotential(gathered, 2, floor=floor), 0.5, samples=1000, seed=SEED)
+    assert seen[7:] == [False, False, False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +855,95 @@ def test_polar_sampling_counts_equal_the_coordinate_path(text, radius, workers):
     p = potential_from_spec(spec, radius)
     assert p.angles
     assert_counts_equal_the_coordinate_path(p, coordinate_reference(spec), workers)
+
+
+FLOORED = [
+    *(pytest.param(lambda m=m, p=p, t=t: binomial_family(m, p)(t), id=f"family({m},{p})({t})")
+      for m, p in [(2, 2), (5, 5), (5, 3), (1, 5)]
+      for t in (1.0, -1.0, -0.5, 0.1, 1e-6, -1e-6, 1e6, -1e6)),
+    *(pytest.param(lambda text=text: potential_from_spec(parse_spec(text)), id=text)
+      for text in ("ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)", "ssum(mono:5;mono:0,5)",
+                   "ssum(mono:5;ssum(mono:4;mono:5,1))", *LONG_SUMS[:3])),
+]
+
+
+@pytest.mark.parametrize("make", FLOORED)
+def test_floor_is_below_phi_pointwise(make):
+    p = make()
+    assert p.floor is not None
+    for seed in (8, 9):
+        # vanishing coordinates, a vanishing point, and z1 = z2: a = b exactly at |c| = 1
+        sq, theta = polar_points(p.dimension, np.random.default_rng(seed))
+        sq.flags.writeable = theta.flags.writeable = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floor, phi = p.floor(sq), p.phi(sq, theta)
+        assert floor.shape == phi.shape and not np.isnan(floor).any()
+        vanishing = np.isneginf(phi)
+        assert vanishing[100:110].all() and np.isneginf(floor[vanishing]).all()
+        # the floor shares phi's operations up to the last few, whose rounding
+        # is a few units in the last place, far below the sampler's 1e-9 margin
+        assert (floor[~vanishing] <= phi[~vanishing] + 1e-12).all()
+        if p.dimension == 2:
+            # and a binomial's floor bounds something: a fifth of the rows clear log 0.1
+            assert (floor >= np.log(0.1)).mean() > 0.2
+
+
+@pytest.mark.parametrize(
+    "samples", [2000, volume._CHUNK, 3 * volume._CHUNK + 777, 300_001]
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_counts_equal_the_counts_of_every_row(samples, workers):
+    # the fit grid, and unsorted thresholds with a duplicate whose largest,
+    # log 2, leaves nearly every row to phi
+    grids = [np.log(np.geomspace(1e-1, 1e-3, 12)), np.log([0.3, 0.01, 2.0, 0.1, 0.01, 0.002])]
+    potentials = [
+        *(binomial_family(m, p)(t) for m, p in [(2, 2), (2, 3), (5, 3)] for t in (-1.0, 0.1, 1e6)),
+        binomial_family(2, 3)(0.0),  # no floor, on the same chunks
+        *(potential_from_spec(parse_spec(text)) for text in ("ssum(mono:2;mono:3)", *LONG_SUMS[:3])),
+    ]
+    unpruned = [dataclasses.replace(p, floor=None) for p in potentials]
+    for thresholds in grids:
+        by_polydisk = {}
+        for p, q in zip(potentials, unpruned):
+            by_polydisk.setdefault(p.dimension, []).append((p, q))
+        for pairs in by_polydisk.values():
+            pruned = volume._sample_group([p for p, _ in pairs], thresholds, samples, SEED, workers)
+            every_row = volume._sample_group([q for _, q in pairs], thresholds, samples, SEED, 1)
+            for (counts, volumes, _), (expected, expected_volumes, _) in zip(pruned, every_row):
+                np.testing.assert_array_equal(counts, expected)
+                assert volumes.tobytes() == expected_volumes.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_estimate_close_to_the_unit_radius(workers):
+    # at r = 0.999 the cap is just below 0, where most rows have their floor
+    for p in (binomial_family(2, 3)(-0.5), potential_from_spec(parse_spec(LONG_SUMS[0]))):
+        full = dataclasses.replace(p, floor=None)
+        for samples in (300_001, 3 * volume._CHUNK + 777):
+            pruned = estimate_sublevel_volume(p, 0.999, samples=samples, seed=SEED, workers=workers)
+            assert pruned == estimate_sublevel_volume(full, 0.999, samples=samples, seed=SEED)
+
+
+def test_a_nan_floor_keeps_its_row():
+    # phi = log|z|, and a floor that equals it, except NaN where |z|^2 < 1/4:
+    # at the threshold log 1/2 every row it keeps has a NaN floor
+    seen = []
+
+    def phi(sq, theta):
+        seen.append(sq[:, 0].max())
+        return 0.5 * np.log(sq[:, 0])
+
+    def floor(sq):
+        return np.where(sq[:, 0] < 0.25, np.nan, 0.5 * np.log(sq[:, 0]))
+
+    p = SampledPotential(phi, 1, angles=False, floor=floor)
+    ((counts, _, _),) = volume._sample_group([p], np.log([0.5]), 300_001, SEED, 1)
+    ((expected, _, _),) = volume._sample_group(
+        [dataclasses.replace(p, floor=None)], np.log([0.5]), 300_001, SEED, 1
+    )
+    assert counts[0] == expected[0] > 0
+    assert len(seen) == 2 * 10 and max(seen[:10]) < 0.25 and max(seen[10:]) > 0.99
 
 
 def test_evaluator_is_the_reference_on_every_benchmark_potential(monkeypatch):
