@@ -36,7 +36,7 @@ on row i of its arguments): it is called on the row blocks of a chunk,
 and its counts are those of the whole chunk.
 
 A potential may carry a floor, a lower bound of phi from the squared
-moduli alone; separated sums carry one (log|a - b| for two terms).  On
+moduli alone; a separated sum of two monomials carries log|a - b|.  On
 each row block the sampler computes the floor first and evaluates phi
 only on the rows whose floor is below the largest threshold plus a
 margin far above rounding, gathered into new arrays: a row it skips has
@@ -97,8 +97,9 @@ _CHUNK_BYTES = 1 << 27
 # evaluation the rest.  A potential of the angles is charged what one given
 # on coordinates takes, which tracemalloc measures at 24-30 (draws,
 # interleaved coordinates and a complex copy in the evaluator); separated
-# sums take 19-26, the most where their floor keeps nearly every row and
-# the kept rows are gathered, and potentials of the moduli 9-11.
+# sums take 19-25, the most where a binomial's floor keeps nearly every
+# row and the kept rows are gathered, and potentials of the moduli 10-14,
+# the most for one variable when the largest threshold nears 0.
 _COORDINATE_BYTES = 32
 _MODULI_BYTES = 16
 
@@ -145,14 +146,17 @@ class SampledPotential:
     chunk reads the same arrays, and draws the next chunk into the same
     buffers.
 
-    ``floor(sq)``, if given, maps the squared moduli alone to an (N,) array
-    of lower bounds of phi as computed in floats, up to a few units in the
-    last place; NaN bounds nothing.  It must be pointwise, and may neither
-    modify nor keep its argument, as phi.  Sampling calls it on each row
-    block, and calls phi only on the rows whose floor is not at or above
-    the largest threshold plus _FLOOR_MARGIN, gathered into new read-only
-    arrays: a row it skips has phi above every threshold and counts
-    nowhere, so the counts are those of phi on every row.
+    ``floor`` is internal: :func:`potential_from_spec` and
+    :func:`binomial_family` set it on separated sums of two monomials, and
+    a potential built by hand leaves it None.  ``floor(sq)`` maps the
+    squared moduli alone to an (N,) array of lower bounds of phi as
+    computed in floats, up to a few units in the last place; NaN bounds
+    nothing.  Sampling calls it on each row block, and calls phi only on
+    the rows whose floor is not at or above the largest threshold plus
+    _FLOOR_MARGIN, gathered into new read-only arrays: a row it skips has
+    phi above every threshold and counts nowhere.  Nothing checks that a
+    floor is a lower bound, and one that is not drops rows that count, so
+    the only floors set are those the library derives and tests.
     """
 
     phi: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
@@ -309,30 +313,20 @@ def _binomial_polar(
 
 def _polynomial_polar(
     terms: Sequence[PrincipalMonomial],
-) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The polar form of log|z^alpha_1 + ... + z^alpha_k|, each monomial on
-    the variables after those of the one before it, and its floor.
+    the variables after those of the one before it.
 
     Term j has log-modulus l_j = sum_i alpha_ji log|z_i| and phase
     sum_i alpha_ji theta_i.  With l the largest l_j and w_j = exp(l_j - l)
     <= 1, the sum is exp(l) (Re + i Im) with Re and Im the sums of w_j
     times the cosines and the sines of the phases, so phi = l
-    + log(Re^2 + Im^2) / 2, and no modulus underflows.
-
-    The largest term less the others bounds the sum's modulus from below:
-    the floor is l + log(1 - sum of the other w_j) where that is positive
-    and -inf elsewhere, less a rounding allowance.  Re and Im each add k
-    rounded products of a w_j and a cosine or a sine, so the modulus phi
-    takes the log of is within about (2k + 8) 2^-53 times the sum of the
-    w_j of one at least 1 - sum of the other w_j; the floor takes
-    8 (k + 4) 2^-53 times that sum off, so it stays below phi as computed."""
+    + log(Re^2 + Im^2) / 2, and no modulus underflows."""
     offsets = accumulate((term.nvars for term in terms), initial=0)
     alphas = [_floats(t.exponents) for t in terms]
     blocks = [(slice(k, k + a.size), a / 2, a) for k, a in zip(offsets, alphas)]
-    allowance = 1.0 + (len(blocks) + 4) * 2.0**-50
 
-    def weights(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """l and the rows of w_j."""
+    def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             log_sq = np.log(sq)
         logs = np.empty((len(blocks), sq.shape[0]))
@@ -340,39 +334,21 @@ def _polynomial_polar(
             log_j[:] = _column_sum(log_sq[:, block], half)
         del log_sq
         big = logs.max(axis=0)
-        for w in logs:
+        re, im = np.zeros_like(big), np.zeros_like(big)
+        for w, (block, _, alpha) in zip(logs, blocks):
             # w_j, and 0 where every term vanishes
             np.subtract(w, big, out=w, where=big > -np.inf)
-            np.exp(w, out=w)
-        return big, logs
-
-    def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        big, w = weights(sq)
-        re, im = np.zeros_like(big), np.zeros_like(big)
-        for w_j, (block, _, alpha) in zip(w, blocks):
+            w = np.exp(w, out=w)
             phase = _column_sum(theta[:, block], alpha)
-            re += w_j * np.cos(phase)
-            im += w_j * np.sin(phase, out=phase)
-        del w
+            re += w * np.cos(phase)
+            im += w * np.sin(phase, out=phase)
         modulus = np.hypot(re, im, out=re)
         with np.errstate(divide="ignore"):
             phi = np.log(modulus, out=modulus)
         phi += big
         return phi
 
-    def floor(sq: np.ndarray) -> np.ndarray:
-        big, w = weights(sq)
-        # 1 - (the others' sum) = 2 - (every w_j's sum), one w_j being 1
-        gap = w.sum(axis=0)
-        del w
-        gap *= -allowance
-        gap += 2.0
-        out = np.full_like(gap, -np.inf)
-        np.log(gap, out=out, where=gap > 0.0)
-        out += big
-        return out
-
-    return polar, floor
+    return polar
 
 
 def _monomials(spec: MonomialIdealSpec) -> list[PrincipalMonomial]:
@@ -399,22 +375,8 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool, Optional[Callable]]:
         alpha = _floats(spec.exponents)
         unused = alpha == 0
         half = alpha / 2.0
-        (read,) = np.nonzero(~unused)
-        if read.size == 1:
-            column, scale = int(read[0]), float(half[read[0]])
-
-            def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
-                # the log of the one column of nonzero exponent, times its
-                # weight: the value the product below takes, as its only term
-                with np.errstate(divide="ignore"):
-                    log_sq = np.log(np.ascontiguousarray(sq[:, column]))
-                log_sq *= scale
-                return log_sq
-
-            return monomial, False, None
 
         def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
-            # the log of a contiguous block beats logs of its strided columns
             with np.errstate(divide="ignore"):
                 log_sq = np.log(np.ascontiguousarray(sq))
             # a vanishing coordinate of exponent 0 adds nothing, where
@@ -445,8 +407,10 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool, Optional[Callable]]:
         return direct_sum, left_angles or right_angles, None
     if isinstance(spec, SeparatedSum):
         terms = _monomials(spec)
-        polar, floor = _binomial_polar(*terms, 1.0) if len(terms) == 2 else _polynomial_polar(terms)
-        return polar, True, floor
+        if len(terms) == 2:
+            polar, floor = _binomial_polar(*terms, 1.0)
+            return polar, True, floor
+        return _polynomial_polar(terms), True, None
     raise InvalidInputError(f"expected a monomial ideal spec, got {type(spec).__name__}")
 
 
@@ -460,8 +424,8 @@ def potential_from_spec(
     combine via logaddexp (the max-equivalent potential of an ideal sum).
     The potentials of principal monomials, diagonal ideals and their direct
     sums depend only on the moduli and read no angles.  A separated sum is
-    evaluated in polar form from its monomials' moduli and phases, and has
-    the floor of its largest term less the others.
+    evaluated in polar form from its monomials' moduli and phases; one of
+    two monomials also has the floor log|a - b| of its moduli a and b.
     """
     phi, angles, floor = _form(spec)
     return SampledPotential(phi, spec.nvars, radius, angles, floor)

@@ -3,6 +3,7 @@ fit behavior, and serialization."""
 
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 import os
@@ -274,19 +275,24 @@ def charged_potentials():
     ]
 
 
+# the fit grid, and a grid whose largest threshold, log 0.999, leaves nearly
+# every row of a two-term separated sum to its floor's gather and to phi
+CHARGED_GRIDS = [np.log(np.geomspace(1e-3, 1e-1, 12)), np.log(np.geomspace(1e-3, 0.999, 12))]
+
+
 def test_chunk_charge_is_what_one_chunk_takes():
     potentials = charged_potentials()
-    thresholds = np.log(np.geomspace(1e-3, 1e-1, 12))
     worst = {volume._COORDINATE_BYTES: 0.0, volume._MODULI_BYTES: 0.0}
-    for p in potentials:
+    for p, thresholds in itertools.product(potentials, CHARGED_GRIDS):
         per_variable = volume._COORDINATE_BYTES if p.angles else volume._MODULI_BYTES
         peak = chunk_peak(p, thresholds)
         charge = volume._CHUNK * per_variable * p.dimension + thresholds.size * volume._RADIUS_BYTES
         assert peak <= charge
         worst[per_variable] = max(worst[per_variable], peak / (volume._CHUNK * p.dimension))
     # each path's charge is its worst measured case rounded up: 30.0 bytes per
-    # sample and variable for the coordinate form of ssum(mono:1;mono:1), 11.0
-    # for mono:2,1; the polar forms of separated sums take 19.0-25.6
+    # sample and variable for the coordinate form of ssum(mono:1;mono:1), 14.0
+    # for mono:1 on the grid to 0.999; the polar forms of separated sums take
+    # 19.0-25.0, the most for a binomial on the grid to 0.999
     assert volume._COORDINATE_BYTES - 8 < worst[volume._COORDINATE_BYTES]
     assert volume._MODULI_BYTES - 8 < worst[volume._MODULI_BYTES]
 
@@ -295,16 +301,16 @@ def test_chunk_charge_covers_a_chunk_no_longer_than_a_block():
     # a full chunk's charge is per_variable bytes per sample and variable;
     # a chunk of one block evaluates every row at once, which the draws'
     # share of that charge alone would not cover
-    thresholds = np.log(np.geomspace(1e-3, 1e-1, 12))
     worst = {volume._COORDINATE_BYTES: 0.0, volume._MODULI_BYTES: 0.0}
-    for p in charged_potentials():
+    for p, thresholds in itertools.product(charged_potentials(), CHARGED_GRIDS):
         per_variable = volume._COORDINATE_BYTES if p.angles else volume._MODULI_BYTES
         assert volume._chunk_charge(p, 10**6) == volume._CHUNK * per_variable * p.dimension
         peak = chunk_peak(p, thresholds, volume._BLOCK)
         charge = volume._chunk_charge(p, volume._BLOCK) + thresholds.size * volume._RADIUS_BYTES
         assert peak <= charge
         worst[per_variable] = max(worst[per_variable], peak / (volume._BLOCK * p.dimension))
-    # 72.1 bytes per sample and variable for the coordinate form, 20.1 for mono:2,1
+    # 72.1 bytes per sample and variable for the coordinate form, 32.1 for mono:1
+    # on the grid to 0.999; a binomial's polar form takes 52.1 there
     assert worst[volume._COORDINATE_BYTES] > 2 * volume._COORDINATE_BYTES
     assert worst[volume._MODULI_BYTES] > volume._MODULI_BYTES
 
@@ -862,8 +868,7 @@ FLOORED = [
       for m, p in [(2, 2), (5, 5), (5, 3), (1, 5)]
       for t in (1.0, -1.0, -0.5, 0.1, 1e-6, -1e-6, 1e6, -1e6)),
     *(pytest.param(lambda text=text: potential_from_spec(parse_spec(text)), id=text)
-      for text in ("ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)", "ssum(mono:5;mono:0,5)",
-                   "ssum(mono:5;ssum(mono:4;mono:5,1))", *LONG_SUMS[:3])),
+      for text in ("ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)", "ssum(mono:5;mono:0,5)")),
 ]
 
 
@@ -889,6 +894,13 @@ def test_floor_is_below_phi_pointwise(make):
             assert (floor >= np.log(0.1)).mean() > 0.2
 
 
+def test_only_separated_sums_of_two_monomials_carry_a_floor():
+    # sums of three or more terms, and direct sums of a binomial, are evaluated on every row
+    assert binomial_family(2, 3)(0.0).floor is None
+    for text in (*MODULI_SPECS, *LONG_SUMS):
+        assert potential_from_spec(parse_spec(text)).floor is None
+
+
 @pytest.mark.parametrize(
     "samples", [2000, volume._CHUNK, 3 * volume._CHUNK + 777, 300_001]
 )
@@ -900,7 +912,7 @@ def test_pruned_counts_equal_the_counts_of_every_row(samples, workers):
     potentials = [
         *(binomial_family(m, p)(t) for m, p in [(2, 2), (2, 3), (5, 3)] for t in (-1.0, 0.1, 1e6)),
         binomial_family(2, 3)(0.0),  # no floor, on the same chunks
-        *(potential_from_spec(parse_spec(text)) for text in ("ssum(mono:2;mono:3)", *LONG_SUMS[:3])),
+        potential_from_spec(parse_spec("ssum(mono:2;mono:3)")),
     ]
     unpruned = [dataclasses.replace(p, floor=None) for p in potentials]
     for thresholds in grids:
@@ -918,7 +930,7 @@ def test_pruned_counts_equal_the_counts_of_every_row(samples, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pruned_estimate_close_to_the_unit_radius(workers):
     # at r = 0.999 the cap is just below 0, where most rows have their floor
-    for p in (binomial_family(2, 3)(-0.5), potential_from_spec(parse_spec(LONG_SUMS[0]))):
+    for p in (binomial_family(2, 3)(-0.5), potential_from_spec(parse_spec("ssum(mono:1,1;mono:3)"))):
         full = dataclasses.replace(p, floor=None)
         for samples in (300_001, 3 * volume._CHUNK + 777):
             pruned = estimate_sublevel_volume(p, 0.999, samples=samples, seed=SEED, workers=workers)
