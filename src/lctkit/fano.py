@@ -246,8 +246,14 @@ def _fletcher_from(w: WeightSystem, monos: list[Monomial]) -> FletcherReport:
     )
 
 
+def _require_weight_system(w) -> None:
+    if not isinstance(w, WeightSystem):
+        raise InvalidInputError(f"expected a WeightSystem, got {type(w).__name__}")
+
+
 def fletcher_check(w: WeightSystem) -> FletcherReport:
     """Evaluate the orbifold conditions against the full monomial list."""
+    _require_weight_system(w)
     return _fletcher_from(w, weighted_monomials(w))
 
 
@@ -392,6 +398,9 @@ def certify(w: WeightSystem, allow_refined: bool = True) -> Certificate:
     in REFINED_CURVE_CHECKS; rho_refined < 1 by itself proves nothing
     about the components of (x0 = 0) and leaves INCONCLUSIVE.
     """
+    _require_weight_system(w)
+    if not isinstance(allow_refined, bool):
+        raise InvalidInputError("allow_refined must be True or False")
     monos = weighted_monomials(w)
     fletcher = _fletcher_from(w, monos)
 
@@ -474,6 +483,8 @@ class ScanConfig:
     def __post_init__(self):
         for name in ("max_a3", "min_a0", "fano_index"):
             require_int(getattr(self, name), 1, f"{name} must be a positive integer")
+        if not isinstance(self.require_refined, bool):
+            raise InvalidInputError("require_refined must be True or False")
         if self.max_a3 < self.min_a0:
             raise InvalidInputError("max_a3 must be >= min_a0")
         size = self.box_systems
@@ -661,6 +672,8 @@ def scan(config: ScanConfig) -> ScanReport:
     is judged by the base criterion alone; with it True, systems whose
     curve verification is recorded may appear as KE_CERTIFIED_REFINED.
     """
+    if not isinstance(config, ScanConfig):
+        raise InvalidInputError(f"expected a ScanConfig, got {type(config).__name__}")
     # d = k - index <= 4 max_a3 - index, so an index of 4 max_a3 or more
     # leaves no system with d > 0 (and need not fit in int32 columns)
     rows = _prefilter(config) if config.fano_index < 4 * config.max_a3 else []

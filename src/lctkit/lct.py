@@ -59,7 +59,14 @@ class ResolutionData:
     divisors: tuple[DivisorRecord, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "divisors", tuple(self.divisors))
+        try:
+            divisors = tuple(self.divisors)
+        except TypeError:
+            raise InvalidInputError("divisors must be an iterable of DivisorRecords") from None
+        for record in divisors:
+            if not isinstance(record, DivisorRecord):
+                raise InvalidInputError(f"expected a DivisorRecord, got {type(record).__name__}")
+        object.__setattr__(self, "divisors", divisors)
 
     @classmethod
     def from_json(cls, document: Union[str, bytes, dict]) -> "ResolutionData":

@@ -60,7 +60,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -246,11 +245,19 @@ def _column_sum(x: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     return np.zeros(x.shape[0]) if out is None else out
 
 
+def _term_logs(sq: np.ndarray, halves: np.ndarray) -> list[np.ndarray]:
+    """Per row h of ``halves``, its term's log-modulus sum_i h_i log|z_i|^2,
+    from one log of the squared moduli; a weight of 0 adds nothing."""
+    with np.errstate(divide="ignore"):
+        log_sq = np.log(sq)
+    return [_column_sum(log_sq, half) for half in halves]
+
+
 def _binomial_polar(
-    left: PrincipalMonomial, right: PrincipalMonomial, c: float
+    rows: np.ndarray, c: float
 ) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """The polar form of log|z^alpha + c z^beta|, c != 0, with z^alpha on
-    the first variables and z^beta on the ones after them, and its floor.
+    """The polar form of log|z^alpha + c z^beta|, c != 0, and its floor,
+    with alpha and beta the two exponent rows over all the variables.
 
     With a = |z^alpha|, b = |c z^beta| and h half the difference of their
     phases, |z^alpha + c z^beta|^2 = (a - b)^2 + 4ab cos^2 h, where c < 0
@@ -263,19 +270,14 @@ def _binomial_polar(
     max(a, b) and 1 - rho as phi.  (log1p(-rho) is no closer in floats
     than the 1 - rho phi squares, and numpy runs it as scalar code, about
     8 times as slow as log.)"""
-    alpha = _floats(left.exponents + (0,) * right.nvars) / 2.0
-    beta = _floats((0,) * left.nvars + right.exponents) / 2.0
+    halves = rows / 2.0
     log_c = math.log(abs(c))
     trig = np.cos if c > 0 else np.sin
-    half_gap = alpha - beta
+    half_gap = halves[0] - halves[1]
 
     def moduli(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log max(a, b) and rho."""
-        with np.errstate(divide="ignore"):
-            log_sq = np.log(sq)
-        big = _column_sum(log_sq, alpha)
-        small = _column_sum(log_sq, beta)
-        del log_sq
+        big, small = _term_logs(sq, halves)
         small += log_c
         big, small = np.maximum(big, small), np.minimum(big, small, out=small)
         with np.errstate(invalid="ignore"):  # NaN where both moduli vanish
@@ -311,35 +313,28 @@ def _binomial_polar(
     return polar, floor
 
 
-def _polynomial_polar(
-    terms: Sequence[PrincipalMonomial],
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The polar form of log|z^alpha_1 + ... + z^alpha_k|, each monomial on
-    the variables after those of the one before it.
+def _polynomial_polar(rows: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The polar form of log|z^alpha_1 + ... + z^alpha_k|, with alpha_j the
+    exponent rows over all the variables.
 
     Term j has log-modulus l_j = sum_i alpha_ji log|z_i| and phase
     sum_i alpha_ji theta_i.  With l the largest l_j and w_j = exp(l_j - l)
     <= 1, the sum is exp(l) (Re + i Im) with Re and Im the sums of w_j
     times the cosines and the sines of the phases, so phi = l
     + log(Re^2 + Im^2) / 2, and no modulus underflows."""
-    offsets = accumulate((term.nvars for term in terms), initial=0)
-    alphas = [_floats(t.exponents) for t in terms]
-    blocks = [(slice(k, k + a.size), a / 2, a) for k, a in zip(offsets, alphas)]
+    halves = rows / 2.0
 
     def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            log_sq = np.log(sq)
-        logs = np.empty((len(blocks), sq.shape[0]))
-        for log_j, (block, half, _) in zip(logs, blocks):
-            log_j[:] = _column_sum(log_sq[:, block], half)
-        del log_sq
-        big = logs.max(axis=0)
+        logs = _term_logs(sq, halves)
+        big = logs[0].copy()  # a running maximum: no (k, N) copy of the logs
+        for log_j in logs[1:]:
+            np.maximum(big, log_j, out=big)
         re, im = np.zeros_like(big), np.zeros_like(big)
-        for w, (block, _, alpha) in zip(logs, blocks):
+        for w, alpha in zip(logs, rows):
             # w_j, and 0 where every term vanishes
             np.subtract(w, big, out=w, where=big > -np.inf)
             w = np.exp(w, out=w)
-            phase = _column_sum(theta[:, block], alpha)
+            phase = _column_sum(theta, alpha)
             re += w * np.cos(phase)
             im += w * np.sin(phase, out=phase)
         modulus = np.hypot(re, im, out=re)
@@ -351,12 +346,17 @@ def _polynomial_polar(
     return polar
 
 
-def _monomials(spec: MonomialIdealSpec) -> list[PrincipalMonomial]:
-    """The terms of a separated sum of principal monomials, in order."""
+def _terms(spec: MonomialIdealSpec) -> np.ndarray:
+    """The exponent rows of a separated sum of principal monomials, one per
+    monomial in order, over all the sum's variables."""
     if isinstance(spec, PrincipalMonomial):
-        return [spec]
+        return _floats(spec.exponents)[np.newaxis]
     if isinstance(spec, SeparatedSum):
-        return _monomials(spec.left) + _monomials(spec.right)
+        left, right = _terms(spec.left), _terms(spec.right)
+        rows = np.zeros((len(left) + len(right), spec.nvars))
+        rows[: len(left), : spec.left.nvars] = left
+        rows[len(left) :, spec.left.nvars :] = right
+        return rows
     raise InvalidInputError(
         "only principal monomials and separated sums denote a single function; "
         f"cannot sample {type(spec).__name__} inside a separated sum"
@@ -406,11 +406,11 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool, Optional[Callable]]:
 
         return direct_sum, left_angles or right_angles, None
     if isinstance(spec, SeparatedSum):
-        terms = _monomials(spec)
-        if len(terms) == 2:
-            polar, floor = _binomial_polar(*terms, 1.0)
+        rows = _terms(spec)
+        if len(rows) == 2:
+            polar, floor = _binomial_polar(rows, 1.0)
             return polar, True, floor
-        return _polynomial_polar(terms), True, None
+        return _polynomial_polar(rows), True, None
     raise InvalidInputError(f"expected a monomial ideal spec, got {type(spec).__name__}")
 
 
@@ -441,15 +441,14 @@ def binomial_family(m: int, p: int) -> Callable[[float], SampledPotential]:
     """
     require_int(m, 1, "exponent m must be an integer >= 1, got {value!r}")
     require_int(p, 1, "exponent p must be an integer >= 1, got {value!r}")
-    left, right = PrincipalMonomial((m,)), PrincipalMonomial((p,))
-    _floats((m, p))  # refuses m or p past the float range
+    rows = np.diag(_floats((m, p)))  # refuses m or p past the float range
     baseline = potential_from_spec(PrincipalMonomial((m, 0)))
 
     def make(t: float) -> SampledPotential:
         tt = require_real(t, "family parameter t must be a finite number, got {value!r}")
         if tt == 0.0:
             return baseline
-        phi, floor = _binomial_polar(left, right, tt)
+        phi, floor = _binomial_polar(rows, tt)
         return SampledPotential(phi, 2, floor=floor)
 
     return make
@@ -830,7 +829,10 @@ def semicontinuity_experiment(
     tolerance = require_real(tolerance, "tolerance must be a number, got {value!r}")
     if tolerance < 0.0:
         raise InvalidInputError("tolerance must be a finite nonnegative number")
-    config = config or FitConfig()
+    if config is None:
+        config = FitConfig()
+    elif not isinstance(config, FitConfig):
+        raise InvalidInputError(f"config must be a FitConfig or None, got {type(config).__name__}")
     # _fit_all refuses a member that is not a SampledPotential before any draw
     fits = _fit_all([family(t) for t in t_values], config)
     baseline = fits[t_values.index(0.0)].fitted_c

@@ -406,6 +406,22 @@ def test_refined_registry():
     assert certify(W3, allow_refined=False).verdict == INCONCLUSIVE
 
 
+def test_certify_and_scan_refuse_what_is_not_their_type():
+    # a truthy non-bool once switched refined verdicts on
+    for flag in ("no", 1, None):
+        with pytest.raises(InvalidInputError, match="allow_refined must be True or False"):
+            certify(W3, allow_refined=flag)
+        with pytest.raises(InvalidInputError, match="require_refined must be True or False"):
+            ScanConfig(max_a3=12, require_refined=flag)
+    for weights in ((9, 15, 17, 20), None, "W3"):
+        for check in (certify, fletcher_check):
+            with pytest.raises(InvalidInputError, match="expected a WeightSystem"):
+                check(weights)
+    for config in (None, 12, {"max_a3": 12}):
+        with pytest.raises(InvalidInputError, match="expected a ScanConfig"):
+            scan(config)
+
+
 def test_refined_inequality_alone_is_not_enough():
     # both pass the refined inequality arithmetically, neither has a
     # recorded curve verification, so neither is certified

@@ -67,6 +67,20 @@ def test_resolution_empty_is_an_error():
         lct_from_resolution("not resolution data")
 
 
+def test_resolution_data_holds_divisor_records_only():
+    # the JSON row shape and bare numbers once failed only in lct_from_resolution
+    for divisors in ([{"a": 0, "b": 2}], [1, 2], [DivisorRecord(0, 2), (1, 3)], "ab"):
+        with pytest.raises(InvalidInputError, match="expected a DivisorRecord"):
+            ResolutionData(divisors)
+    for divisors in (5, DivisorRecord(0, 2), None):
+        with pytest.raises(InvalidInputError, match="iterable of DivisorRecords"):
+            ResolutionData(divisors)
+    # any iterable of records is kept as a tuple
+    data = ResolutionData(record for record in [DivisorRecord(0, 2), DivisorRecord(1, 3)])
+    assert data.divisors == (DivisorRecord(0, 2), DivisorRecord(1, 3))
+    assert lct_from_resolution(data) == ExtRational("1/2")
+
+
 def test_divisor_record_validation():
     with pytest.raises(InvalidInputError):
         DivisorRecord(0, 0)

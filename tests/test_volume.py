@@ -836,6 +836,20 @@ def test_family_baseline_is_the_potential_of_mono_m_0(m, p):
     assert np.isneginf(phi[:50]).all() and np.isfinite(phi[50:100]).all()
 
 
+@pytest.mark.parametrize("m, p", [(2, 3), (5, 5), (1, 4)])
+def test_family_at_t_1_is_the_potential_of_the_separated_sum(m, p):
+    # both read the exponent rows (m, 0) and (0, p)
+    member = binomial_family(m, p)(1.0)
+    spec_potential = potential_from_spec(parse_spec(f"ssum(mono:{m};mono:{p})"))
+    sq, theta = polar_points(2, np.random.default_rng(12))
+    sq.flags.writeable = theta.flags.writeable = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, floor = member.phi(sq, theta), member.floor(sq)
+    assert phi.tobytes() == spec_potential.phi(sq, theta).tobytes()
+    assert floor.tobytes() == spec_potential.floor(sq).tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_family_baseline_counts_are_those_of_mono_m_0(workers):
     config = FitConfig(samples=300_001, seed=SEED, workers=workers)
@@ -1386,6 +1400,14 @@ def test_binomial_family_refuses_a_t_that_is_no_finite_number(t):
 def test_binomial_family_refuses_a_non_finite_t(t):
     with pytest.raises(InvalidInputError, match="t must be a finite number"):
         binomial_family(2, 2)(t)
+
+
+def test_semicontinuity_refuses_a_config_that_is_no_fit_config_before_any_draw(monkeypatch):
+    built = counted_generators(monkeypatch)
+    for config in ("x", {"samples": 1000}, vars(SMALL_FIT)):
+        with pytest.raises(InvalidInputError, match="config must be a FitConfig or None"):
+            semicontinuity_experiment(binomial_family(2, 2), [0.0], config=config)
+    assert built == []
 
 
 def test_semicontinuity_refuses_a_tolerance_past_the_float_range_before_any_draw(monkeypatch):
