@@ -112,6 +112,7 @@ def weighted_monomials(w: WeightSystem) -> list[Monomial]:
     so there are at most (d + a0 + a1 + a2)^3 / (6 a0 a1 a2) of them; a
     system whose bound passes _MAX_MONOMIAL_STEPS is refused before the loop.
     """
+    _require_weight_system(w)
     a0, a1, a2, a3 = w.a
     d = w.d
     if (d + a0 + a1 + a2) ** 3 > 6 * a0 * a1 * a2 * _MAX_MONOMIAL_STEPS:
@@ -271,6 +272,7 @@ def _index(w: WeightSystem, failure: str) -> int:
 def anticanonical_data(w: WeightSystem) -> tuple[int, Fraction]:
     """Fano index k-d and anticanonical self-intersection
     d (k-d)^2 / (a0 a1 a2 a3), in lowest terms."""
+    _require_weight_system(w)
     index = _index(w, "anticanonical class is not ample")
     return index, Fraction(w.d * index * index, math.prod(w.a))
 
@@ -278,6 +280,7 @@ def anticanonical_data(w: WeightSystem) -> tuple[int, Fraction]:
 def curve_bound_check(w: WeightSystem) -> bool:
     """Exact test of a0 a1 > (2/3) d (k-d)^2, the condition excluding the
     low-degree curve obstruction."""
+    _require_weight_system(w)
     a0, a1 = w.a[0], w.a[1]
     index = w.k - w.d
     return 3 * a0 * a1 > 2 * w.d * index * index
@@ -297,6 +300,7 @@ def _rho_with_factor(w: WeightSystem, factor: int) -> Fraction:
 def rho(w: WeightSystem) -> Fraction:
     """The base criterion number; < 1 certifies a Kahler-Einstein metric
     (given the orbifold conditions and the curve bound)."""
+    _require_weight_system(w)
     return _rho_with_factor(w, w.k - w.a[0] - w.a[2])
 
 
@@ -304,6 +308,7 @@ def rho_refined(w: WeightSystem) -> Fraction:
     """Variant with (k-a1-a2) in place of (k-a0-a2).  Using it requires
     the by-hand nef verification along the curve (x0 = 0); certificates
     carry that caveat."""
+    _require_weight_system(w)
     return _rho_with_factor(w, w.k - w.a[1] - w.a[2])
 
 

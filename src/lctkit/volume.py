@@ -36,12 +36,14 @@ on row i of its arguments): it is called on the row blocks of a chunk,
 and its counts are those of the whole chunk.
 
 A potential may carry a floor, a lower bound of phi from the squared
-moduli alone; a separated sum of two monomials carries log|a - b|.  On
-each row block the sampler computes the floor first and evaluates phi
-only on the rows whose floor is below the largest threshold plus a
-margin far above rounding, gathered into new arrays: a row it skips has
-phi above every threshold, so no count changes, and the cosines of the
-rows far from the zero set of f are never taken.
+moduli alone; a separated sum of two monomials carries log|a - b|, and a
+direct sum the larger of its blocks' floors and of the phi of its blocks
+of the moduli.  On each row block the sampler computes the floor first
+and evaluates phi only on the rows whose floor is below the largest
+threshold plus a margin far above rounding, gathered into new arrays: a
+row it skips has phi above every threshold, so no count changes, and the
+cosines of the rows far from the zero set of f, and the logaddexp of a
+direct sum's rows far from its zero set, are never taken.
 
 Every fit goes through one path, which fits a list of potentials on one
 shared sample set: each chunk is drawn once per polydisk, and the
@@ -147,13 +149,14 @@ class SampledPotential:
 
     ``floor`` is internal: :func:`potential_from_spec` and
     :func:`binomial_family` set it on separated sums of two monomials, and
-    a potential built by hand leaves it None.  ``floor(sq)`` maps the
-    squared moduli alone to an (N,) array of lower bounds of phi as
-    computed in floats, up to a few units in the last place; NaN bounds
-    nothing.  Sampling calls it on each row block, and calls phi only on
-    the rows whose floor is not at or above the largest threshold plus
-    _FLOOR_MARGIN, gathered into new read-only arrays: a row it skips has
-    phi above every threshold and counts nowhere.  Nothing checks that a
+    potential_from_spec on direct sums with a block of the moduli or a
+    block with a floor; a potential built by hand leaves it None.
+    ``floor(sq)`` maps the squared moduli alone to an (N,) array of lower
+    bounds of phi as computed in floats, up to a few units in the last
+    place; NaN bounds nothing.  Sampling calls it on each row block, and
+    calls phi only on the rows whose floor is not at or above the largest
+    threshold plus _FLOOR_MARGIN, gathered into new read-only arrays: a row
+    it skips has phi above every threshold and counts nowhere.  Nothing checks that a
     floor is a lower bound, and one that is not drops rows that count, so
     the only floors set are those the library derives and tests.
     """
@@ -243,6 +246,37 @@ def _column_sum(x: np.ndarray, weights: Sequence[float]) -> np.ndarray:
         else:
             out += w * x[:, i]
     return np.zeros(x.shape[0]) if out is None else out
+
+
+def _row_sum(cols: np.ndarray) -> np.ndarray:
+    """Per column j of the (k, N) ``cols``, the sum over i of cols[i, j],
+    added in the order of numpy's pairwise_sum, which np.sum(axis=1) runs
+    on each row of the transposed, C-contiguous block; the rows of ``cols``
+    are the accumulators, so it is overwritten.  Fewer than 8 terms are
+    added in turn; 8 to 128 go to 8 accumulators, every 8th term to each,
+    joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the
+    rest are added in turn; more are split at half their count, rounded
+    down to a multiple of 8."""
+    k = len(cols)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        total = _row_sum(cols[:half])
+        total += _row_sum(cols[half:])
+        return total
+    if k < 8:
+        for col in cols[1:]:
+            cols[0] += col
+        return cols[0]
+    accumulators = cols[:8]
+    stop = k - k % 8
+    for i in range(8, stop, 8):
+        accumulators += cols[i : i + 8]
+    accumulators[0::2] += accumulators[1::2]
+    accumulators[0::4] += accumulators[2::4]
+    accumulators[0] += accumulators[4]
+    for col in cols[stop:]:
+        cols[0] += col
+    return cols[0]
 
 
 def _term_logs(sq: np.ndarray, halves: np.ndarray) -> list[np.ndarray]:
@@ -363,6 +397,21 @@ def _terms(spec: MonomialIdealSpec) -> np.ndarray:
     )
 
 
+def _bound(form: tuple[Callable, bool, Optional[Callable]], columns: slice) -> Optional[Callable]:
+    """A lower bound, from the squared moduli alone, of the potential of a
+    form read on ``columns`` of a block: its floor, or its phi if it reads
+    no angles; None if it has neither."""
+    phi, angles, floor = form
+    if floor is None and angles:
+        return None
+
+    def bound(sq: np.ndarray) -> np.ndarray:
+        block = sq[:, columns]
+        return phi(block, None) if floor is None else floor(block)
+
+    return bound
+
+
 def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool, Optional[Callable]]:
     """The phi of a spec's potential (see :func:`potential_from_spec`),
     whether it reads the angles, and its floor, built by recursion over the
@@ -389,13 +438,23 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool, Optional[Callable]]:
         half = _floats(spec.orders) / 2.0
 
         def diagonal(sq: np.ndarray, theta: None) -> np.ndarray:
-            sq = np.ascontiguousarray(sq)
+            # the bytes of np.log(np.sum(sq**half, axis=1)) on a contiguous
+            # block, one long contiguous column at a time.  On two or more
+            # columns sq**half runs numpy's pow kernel on every element, as
+            # an exponent array does; a scalar exponent takes numpy's fast
+            # paths (sqrt for 0.5, a square for 2), as sq**half does on one.
+            cols = sq.T.copy()
+            exps = np.empty(sq.shape[0])
+            for col, h in zip(cols, half):
+                exps.fill(h)
+                np.power(col, exps if len(cols) > 1 else h, out=col)
             with np.errstate(divide="ignore"):
-                return np.log(np.sum(sq**half, axis=1))
+                return np.log(_row_sum(cols))
 
         return diagonal, False, None
     if isinstance(spec, DirectSum):
-        (left, left_angles, _), (right, right_angles, _) = _form(spec.left), _form(spec.right)
+        left_form, right_form = _form(spec.left), _form(spec.right)
+        (left, left_angles, _), (right, right_angles, _) = left_form, right_form
         k = spec.left.nvars
 
         def direct_sum(sq: np.ndarray, theta: Optional[np.ndarray]) -> np.ndarray:
@@ -404,7 +463,18 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool, Optional[Callable]]:
                 right(sq[:, k:], theta[:, k:] if right_angles else None),
             )
 
-        return direct_sum, left_angles or right_angles, None
+        left_bound, right_bound = _bound(left_form, np.s_[:k]), _bound(right_form, np.s_[k:])
+        if left_bound and right_bound:
+
+            def floor(sq: np.ndarray) -> np.ndarray:
+                # logaddexp(x, y) >= max(x, y) in floats: it is the larger plus
+                # log1p(exp(-|x - y|)) >= 0, or x + log 2 where x = y
+                low = left_bound(sq)
+                return np.maximum(low, right_bound(sq), out=low)  # NaN kept
+
+        else:
+            floor = left_bound or right_bound
+        return direct_sum, left_angles or right_angles, floor
     if isinstance(spec, SeparatedSum):
         rows = _terms(spec)
         if len(rows) == 2:
@@ -425,7 +495,11 @@ def potential_from_spec(
     The potentials of principal monomials, diagonal ideals and their direct
     sums depend only on the moduli and read no angles.  A separated sum is
     evaluated in polar form from its monomials' moduli and phases; one of
-    two monomials also has the floor log|a - b| of its moduli a and b.
+    two monomials also has the floor log|a - b| of its moduli a and b.  A
+    direct sum has the floor max(x, y), which logaddexp(x, y) never rounds
+    below, of its blocks' bounds: a block's floor, or its phi if it reads
+    no angles; a block with neither bounds nothing, and a direct sum of two
+    such blocks has no floor.
     """
     phi, angles, floor = _form(spec)
     return SampledPotential(phi, spec.nvars, radius, angles, floor)

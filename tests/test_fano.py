@@ -422,6 +422,16 @@ def test_certify_and_scan_refuse_what_is_not_their_type():
             scan(config)
 
 
+@pytest.mark.parametrize("check", [
+    fano.rho, fano.rho_refined, fano.anticanonical_data, fano.curve_bound_check,
+    fano.weighted_monomials,
+])
+def test_weight_system_arithmetic_refuses_a_tuple(check):
+    # each once ended in AttributeError on the tuple's missing fields
+    with pytest.raises(InvalidInputError, match="expected a WeightSystem, got tuple"):
+        check((9, 15, 17, 20))
+
+
 def test_refined_inequality_alone_is_not_enough():
     # both pass the refined inequality arithmetically, neither has a
     # recorded curve verification, so neither is certified

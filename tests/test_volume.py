@@ -691,6 +691,32 @@ def test_moduli_form_keeps_the_coordinate_evaluator_bytes(text):
     np.testing.assert_array_equal(sq, before)
 
 
+# fewer than 8 columns numpy adds in turn, 8 to 128 in 8 accumulators, and
+# more it splits in two
+DIAGONAL_WIDTHS = [*range(1, 21), 64, 129, 200]
+
+
+@pytest.mark.parametrize("width", DIAGONAL_WIDTHS)
+def test_diagonal_form_keeps_the_bytes_of_its_row_sum(width):
+    # orders 1, 2 and 4 are those whose scalar exponent numpy runs as sqrt,
+    # the identity and a square; each is the first of some block
+    orders = (1, 2, 4, 3, 7)
+    rng = np.random.default_rng(width)
+    wide = rng.random((2000 if width <= 20 else 200, width + 2))
+    wide[:20, 1] = 0.0  # a vanishing coordinate
+    wide[20:30] = 0.0  # a vanishing point, where phi is -inf
+    wide.flags.writeable = False
+    for shift in range(4):
+        half = np.array([orders[(i + shift) % len(orders)] for i in range(width)]) / 2.0
+        p = potential_from_spec(Diagonal(tuple(int(2 * h) for h in half)))
+        # a contiguous block, and a column view of a wider one, as a direct sum passes it
+        for sq in (np.ascontiguousarray(wide[:, :width]), wide[:, 1 : width + 1]):
+            with np.errstate(divide="ignore"):
+                expected = np.log(np.sum(np.ascontiguousarray(sq) ** half, axis=1))
+            assert np.isneginf(expected[20:30]).all()
+            assert p.phi(sq, None).tobytes() == expected.tobytes()
+
+
 def test_only_potentials_of_the_moduli_carry_the_moduli_form():
     for text in ("ssum(mono:2;mono:3)", "dsum(mono:1;ssum(mono:2;mono:3))"):
         assert potential_from_spec(parse_spec(text)).angles
@@ -882,7 +908,8 @@ FLOORED = [
       for m, p in [(2, 2), (5, 5), (5, 3), (1, 5)]
       for t in (1.0, -1.0, -0.5, 0.1, 1e-6, -1e-6, 1e6, -1e6)),
     *(pytest.param(lambda text=text: potential_from_spec(parse_spec(text)), id=text)
-      for text in ("ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)", "ssum(mono:5;mono:0,5)")),
+      for text in ("ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)", "ssum(mono:5;mono:0,5)",
+                   "dsum(mono:1;ssum(mono:2;mono:3))")),
 ]
 
 
@@ -908,11 +935,39 @@ def test_floor_is_below_phi_pointwise(make):
             assert (floor >= np.log(0.1)).mean() > 0.2
 
 
-def test_only_separated_sums_of_two_monomials_carry_a_floor():
-    # sums of three or more terms, and direct sums of a binomial, are evaluated on every row
+MODULI_DSUMS = [text for text in MODULI_SPECS if text.startswith("dsum")]
+
+# every direct sum of MODULI_SPECS, and one with a separated sum of two monomials
+FLOORED_DSUMS = [*MODULI_DSUMS, "dsum(mono:1;ssum(mono:2;mono:3))"]
+
+
+def test_direct_sums_and_two_term_separated_sums_carry_a_floor():
+    # a direct sum is bounded by the floors of its children, and by the phi
+    # of those that read no angles
+    for text in ("ssum(mono:2;mono:3)", *FLOORED_DSUMS):
+        assert potential_from_spec(parse_spec(text)).floor is not None
+    # sums of three or more terms, leaves of the moduli, a direct sum of
+    # neither, and the family's t = 0 member are evaluated on every row
     assert binomial_family(2, 3)(0.0).floor is None
-    for text in (*MODULI_SPECS, *LONG_SUMS):
+    none = "dsum(ssum(mono:1;ssum(mono:1;mono:2));ssum(mono:1;ssum(mono:1;mono:1)))"
+    for text in (*(t for t in MODULI_SPECS if t not in MODULI_DSUMS), *LONG_SUMS[:3], none):
         assert potential_from_spec(parse_spec(text)).floor is None
+
+
+@pytest.mark.parametrize("text", MODULI_DSUMS)
+def test_floor_of_a_direct_sum_of_the_moduli_is_below_phi_bitwise(text):
+    # its floor is the larger of its leaves' phi, which logaddexp never rounds below
+    p = potential_from_spec(parse_spec(text))
+    for seed in (8, 9):
+        # vanishing coordinates and a vanishing point, where phi is -inf
+        sq, _ = polar_points(p.dimension, np.random.default_rng(seed))
+        sq.flags.writeable = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floor, phi = p.floor(sq), p.phi(sq, None)
+        assert np.isneginf(phi[100:110]).all() and np.isneginf(floor[100:110]).all()
+        assert not np.isnan(floor).any()
+        assert (floor <= phi).all()
 
 
 @pytest.mark.parametrize(
@@ -927,6 +982,7 @@ def test_pruned_counts_equal_the_counts_of_every_row(samples, workers):
         *(binomial_family(m, p)(t) for m, p in [(2, 2), (2, 3), (5, 3)] for t in (-1.0, 0.1, 1e6)),
         binomial_family(2, 3)(0.0),  # no floor, on the same chunks
         potential_from_spec(parse_spec("ssum(mono:2;mono:3)")),
+        *(potential_from_spec(parse_spec(text)) for text in FLOORED_DSUMS),
     ]
     unpruned = [dataclasses.replace(p, floor=None) for p in potentials]
     for thresholds in grids:
@@ -944,7 +1000,9 @@ def test_pruned_counts_equal_the_counts_of_every_row(samples, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pruned_estimate_close_to_the_unit_radius(workers):
     # at r = 0.999 the cap is just below 0, where most rows have their floor
-    for p in (binomial_family(2, 3)(-0.5), potential_from_spec(parse_spec("ssum(mono:1,1;mono:3)"))):
+    texts = ("ssum(mono:1,1;mono:3)", *FLOORED_DSUMS)
+    potentials = [binomial_family(2, 3)(-0.5), *(potential_from_spec(parse_spec(t)) for t in texts)]
+    for p in potentials:
         full = dataclasses.replace(p, floor=None)
         for samples in (300_001, 3 * volume._CHUNK + 777):
             pruned = estimate_sublevel_volume(p, 0.999, samples=samples, seed=SEED, workers=workers)
