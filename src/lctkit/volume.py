@@ -36,14 +36,17 @@ on row i of its arguments): it is called on the row blocks of a chunk,
 and its counts are those of the whole chunk.
 
 A potential may carry a floor, a lower bound of phi from the squared
-moduli alone; a separated sum of two monomials carries log|a - b|, and a
-direct sum the larger of its blocks' floors and of the phi of its blocks
-of the moduli.  On each row block the sampler computes the floor first
-and evaluates phi only on the rows whose floor is below the largest
-threshold plus a margin far above rounding, gathered into new arrays: a
-row it skips has phi above every threshold, so no count changes, and the
-cosines of the rows far from the zero set of f, and the logaddexp of a
-direct sum's rows far from its zero set, are never taken.
+moduli alone; a separated sum of two monomials carries log|a - b|, a
+diagonal ideal of two or more variables the log of its largest term,
+max_i m_i log|z_i| (-inf where that term is below the smallest normal
+float, as its subnormal power has fewer bits), and a direct sum the
+larger of its blocks' floors and of the phi of its blocks of the moduli.
+On each row block the sampler computes the floor first and evaluates phi
+only on the rows whose floor is below the largest threshold plus a
+margin far above rounding, gathered into new arrays: a row it skips has
+phi above every threshold, so no count changes, and the cosines of the
+rows far from the zero set of f, the powers of a diagonal's rows and the
+logaddexp of a direct sum's rows far from its zero set are never taken.
 
 Every fit goes through one path, which fits a list of potentials on one
 shared sample set: each chunk is drawn once per polydisk, and the
@@ -117,6 +120,23 @@ _RADIUS_BYTES = 512
 # largest threshold is evaluated, not skipped.
 _FLOOR_MARGIN = 1e-9
 
+# Log of the smallest normal float, about -708.4.  Below it a power of a
+# modulus is subnormal and keeps fewer bits than a normal float, so a
+# diagonal's floor there is set to -inf, which keeps every such row.
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+# _count_below's two ways to count a row block, measured on 2^15 rows and
+# on 50 to 8000 (2-vCPU Xeon, numpy 2.4): one compare pass over phi costs
+# about 2.3 us plus 0.13 ns a row, and compressing phi to the rows below the
+# largest threshold, then searchsorted and bincount, about 12 us plus 45 ns
+# a row below.  So a row below costs what 350 rows of one pass do, and a
+# pass's fixed cost is that of 18000 rows: it counts by one pass per
+# threshold where rows below * 350 > thresholds * (rows + 18000).  On a
+# block of 2^15 rows that is where more than 5% of them are below 12
+# thresholds (measured 5-6%), 2% below 4 (1-2%) and 22% below 50 (15-20%).
+_PASS_ROWS_PER_ROW_BELOW = 350
+_PASS_FIXED_ROWS = 18000
+
 # Chunks one sampling call may spawn seeds for, 2^32 samples: every chunk
 # holds a list entry and a SeedSequence (about 450 bytes) from the start.
 _MAX_CHUNKS = 1 << 15
@@ -149,8 +169,9 @@ class SampledPotential:
 
     ``floor`` is internal: :func:`potential_from_spec` and
     :func:`binomial_family` set it on separated sums of two monomials, and
-    potential_from_spec on direct sums with a block of the moduli or a
-    block with a floor; a potential built by hand leaves it None.
+    potential_from_spec on diagonal ideals of two or more variables and on
+    direct sums with a block of the moduli or a block with a floor; a
+    potential built by hand leaves it None.
     ``floor(sq)`` maps the squared moduli alone to an (N,) array of lower
     bounds of phi as computed in floats, up to a few units in the last
     place; NaN bounds nothing.  Sampling calls it on each row block, and
@@ -277,6 +298,18 @@ def _row_sum(cols: np.ndarray) -> np.ndarray:
     for col in cols[stop:]:
         cols[0] += col
     return cols[0]
+
+
+def _contiguous(block: np.ndarray) -> np.ndarray:
+    """A 2-D ``block`` as a C-contiguous array, with the bytes
+    np.ascontiguousarray gives it: itself if it is one, else a copy.  Where
+    each row is one run of memory, as in a column view of a wider block,
+    the copy moves one void item per row, which np.ascontiguousarray's
+    element-by-element copy takes about 7 times as long to do."""
+    if block.flags.c_contiguous or block.strides[1] != block.itemsize:
+        return np.ascontiguousarray(block)
+    rows = block.view(np.dtype((np.void, block.itemsize * block.shape[1])))
+    return rows.copy().view(block.dtype).reshape(block.shape)
 
 
 def _term_logs(sq: np.ndarray, halves: np.ndarray) -> list[np.ndarray]:
@@ -427,7 +460,7 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool, Optional[Callable]]:
 
         def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
             with np.errstate(divide="ignore"):
-                log_sq = np.log(np.ascontiguousarray(sq))
+                log_sq = np.log(_contiguous(sq))
             # a vanishing coordinate of exponent 0 adds nothing, where
             # 0 * log 0 would make the sum NaN
             log_sq[:, unused] = 0.0
@@ -451,7 +484,29 @@ def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool, Optional[Callable]]:
             with np.errstate(divide="ignore"):
                 return np.log(_row_sum(cols))
 
-        return diagonal, False, None
+        if len(half) == 1:
+            return diagonal, False, None  # its phi costs what a floor would
+        weights = half[:, np.newaxis]
+
+        def floor(sq: np.ndarray) -> np.ndarray:
+            # max_i h_i log|z_i|^2, one log in place of the pow kernel.  phi
+            # adds powers t_i >= 0, and a sum of nonnegative floats rounds to at
+            # least its largest term t_j, so phi >= log t_j.  Where the floor is
+            # at least _LOG_TINY, the exact |z_j|^{m_j} is at least about the
+            # smallest normal float, where pow rounds to a few units in the last
+            # place, so log t_j lies within a few units of h_j log|z_j|^2: about
+            # 1e-13 at |phi| = 708, far below _FLOOR_MARGIN.  Below it t_j may be
+            # subnormal or 0, with fewer bits, and the floor is -inf, so a cap
+            # below -708 (r_max < 3e-308) skips no row; t_j = inf leaves phi inf.
+            logs = sq.T.copy()
+            with np.errstate(divide="ignore"):
+                logs = np.log(logs, out=logs)
+            logs *= weights
+            low = logs.max(axis=0)  # NaN kept
+            low[low < _LOG_TINY] = -np.inf
+            return low
+
+        return diagonal, False, floor
     if isinstance(spec, DirectSum):
         left_form, right_form = _form(spec.left), _form(spec.right)
         (left, left_angles, _), (right, right_angles, _) = left_form, right_form
@@ -496,10 +551,14 @@ def potential_from_spec(
     sums depend only on the moduli and read no angles.  A separated sum is
     evaluated in polar form from its monomials' moduli and phases; one of
     two monomials also has the floor log|a - b| of its moduli a and b.  A
-    direct sum has the floor max(x, y), which logaddexp(x, y) never rounds
-    below, of its blocks' bounds: a block's floor, or its phi if it reads
-    no angles; a block with neither bounds nothing, and a direct sum of two
-    such blocks has no floor.
+    diagonal ideal of two or more variables has the floor max_i m_i
+    log|z_i|, the log of its largest term, which is -inf where that term is
+    below the smallest normal float (its power is subnormal there, with
+    fewer bits than the floor), so a grid whose largest radius is below
+    about 3e-308 evaluates every row.  A direct sum has the floor max(x, y),
+    which logaddexp(x, y) never rounds below, of its blocks' bounds: a
+    block's floor, or its phi if it reads no angles; a block with neither
+    bounds nothing, and a direct sum of two such blocks has no floor.
     """
     phi, angles, floor = _form(spec)
     return SampledPotential(phi, spec.nvars, radius, angles, floor)
@@ -561,12 +620,22 @@ def _require_chunk_budget(p: SampledPotential, grid_size: int, samples: int = _C
 def _count_below(phi: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Per threshold of the sorted, non-NaN ``edges``, the number of phi
     values strictly below it, as ``(phi[:, None] < edges[None, :]).sum(0)``
-    counts them; phi may be NaN.  Each phi value lands in the slot of the
-    edges it is below first, and the counts are the running sum of the
-    slot sizes."""
+    counts them; phi may be NaN.  Where few rows are below the largest
+    threshold, each of them lands in the slot of the edges it is below
+    first, and the counts are the running sum of the slot sizes; where many
+    are, each threshold counts the rows below it in one compare pass."""
     # what is not below the largest threshold (NaN included) counts nowhere
-    phi = phi[phi < edges[-1]]
-    slots = np.searchsorted(edges, phi, side="right")
+    below = phi < edges[-1]
+    rows_below = np.count_nonzero(below)
+    if rows_below * _PASS_ROWS_PER_ROW_BELOW > edges.size * (phi.size + _PASS_FIXED_ROWS):
+        # enough rows are below that one compare pass per threshold costs less
+        # than compressing phi by an unpredictable mask
+        counts = np.empty(edges.size, dtype=np.int64)
+        for i, edge in enumerate(edges[:-1]):
+            counts[i] = np.count_nonzero(np.less(phi, edge, out=below))
+        counts[-1] = rows_below
+        return counts
+    slots = np.searchsorted(edges, phi[below], side="right")
     return np.cumsum(np.bincount(slots, minlength=edges.size), dtype=np.int64)
 
 

@@ -161,6 +161,43 @@ def test_count_below_matches_the_broadcast_compare():
     np.testing.assert_array_equal(empty, np.zeros(thresholds.size, dtype=np.int64))
 
 
+# sorted, with -inf and a duplicate among them
+COUNT_EDGES = np.array([-math.inf, -math.inf, -3.0, -1.0, -1.0, -0.25, 0.5, 2.0])
+
+
+def count_path_phi(share_below, rng):
+    """phi on a block of 2^15 rows, of which about ``share_below`` lie below
+    the largest of COUNT_EDGES, with NaN, +-inf, -0.0 and values equal to
+    each edge."""
+    edges = COUNT_EDGES
+    phi = np.where(
+        rng.random(1 << 15) < share_below,
+        rng.uniform(-4.0, edges[-1], 1 << 15),
+        rng.uniform(edges[-1], 5.0, 1 << 15),
+    )
+    special = np.repeat([math.nan, math.inf, -math.inf, -0.0, 0.0, *edges], 5)
+    phi[: special.size] = special
+    rng.shuffle(phi)
+    return phi
+
+
+@pytest.mark.parametrize("share_below", [0.98, 0.003])
+def test_count_below_matches_the_broadcast_compare_on_either_path(share_below):
+    # nearly every row below the largest edge takes one compare pass per
+    # edge, almost none the compress, searchsorted and bincount
+    phi = count_path_phi(share_below, np.random.default_rng(11))
+    edges = COUNT_EDGES
+    below = np.count_nonzero(phi < edges[-1])
+    dense = below * volume._PASS_ROWS_PER_ROW_BELOW > edges.size * (
+        phi.size + volume._PASS_FIXED_ROWS
+    )
+    assert dense == (share_below > 0.5)
+    counts = volume._count_below(phi, edges)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, broadcast_count(phi, edges))
+    assert counts[0] == counts[1] == 0 and counts[-1] == below
+
+
 floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 
@@ -717,6 +754,32 @@ def test_diagonal_form_keeps_the_bytes_of_its_row_sum(width):
             assert p.phi(sq, None).tobytes() == expected.tobytes()
 
 
+def test_contiguous_copies_a_column_block_with_the_bytes_of_ascontiguousarray():
+    rng = np.random.default_rng(12)
+    wide = rng.normal(size=(3001, 6))
+    wide[:5] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.0]
+    wide.flags.writeable = False
+    gathered = volume._gather(wide, np.flatnonzero(rng.random(3001) < 0.3))
+    # column blocks without contiguous rows, which take np.ascontiguousarray
+    transposed = wide.T.copy().T
+    transposed.flags.writeable = False
+    for block in (wide, gathered, transposed):
+        for width in range(1, 6):
+            for offset in range(7 - width):
+                view = block[:, offset : offset + width]
+                copy = volume._contiguous(view)
+                expected = np.ascontiguousarray(view)
+                assert copy.dtype == expected.dtype and copy.shape == expected.shape
+                assert copy.tobytes() == expected.tobytes()
+                if view.flags.c_contiguous:
+                    # one column of the transposed block: no copy, as np.ascontiguousarray has it
+                    assert block is transposed and width == 1 and copy is view
+                    continue
+                assert copy.flags.c_contiguous and copy.flags.writeable
+                assert not np.shares_memory(copy, block)
+    assert volume._contiguous(wide) is wide
+
+
 def test_only_potentials_of_the_moduli_carry_the_moduli_form():
     for text in ("ssum(mono:2;mono:3)", "dsum(mono:1;ssum(mono:2;mono:3))"):
         assert potential_from_spec(parse_spec(text)).angles
@@ -903,13 +966,17 @@ def test_polar_sampling_counts_equal_the_coordinate_path(text, radius, workers):
     assert_counts_equal_the_coordinate_path(p, coordinate_reference(spec), workers)
 
 
+# diagonals of two or more columns, with orders whose scalar exponent numpy
+# runs as sqrt and a square, and one of 9 columns summed in pairwise order
+FLOORED_DIAGONALS = ["diag:2,3", "diag:1,4,2,5", "diag:8,8,8,8,8,8,8,8,9"]
+
 FLOORED = [
     *(pytest.param(lambda m=m, p=p, t=t: binomial_family(m, p)(t), id=f"family({m},{p})({t})")
       for m, p in [(2, 2), (5, 5), (5, 3), (1, 5)]
       for t in (1.0, -1.0, -0.5, 0.1, 1e-6, -1e-6, 1e6, -1e6)),
     *(pytest.param(lambda text=text: potential_from_spec(parse_spec(text)), id=text)
       for text in ("ssum(mono:2;mono:3)", "ssum(mono:1,1;mono:3)", "ssum(mono:5;mono:0,5)",
-                   "dsum(mono:1;ssum(mono:2;mono:3))")),
+                   "dsum(mono:1;ssum(mono:2;mono:3))", *FLOORED_DIAGONALS)),
 ]
 
 
@@ -943,20 +1010,66 @@ FLOORED_DSUMS = [*MODULI_DSUMS, "dsum(mono:1;ssum(mono:2;mono:3))"]
 
 def test_direct_sums_and_two_term_separated_sums_carry_a_floor():
     # a direct sum is bounded by the floors of its children, and by the phi
-    # of those that read no angles
-    for text in ("ssum(mono:2;mono:3)", *FLOORED_DSUMS):
+    # of those that read no angles; a diagonal of two or more columns by its
+    # largest term
+    for text in ("ssum(mono:2;mono:3)", *FLOORED_DSUMS, *FLOORED_DIAGONALS):
         assert potential_from_spec(parse_spec(text)).floor is not None
-    # sums of three or more terms, leaves of the moduli, a direct sum of
-    # neither, and the family's t = 0 member are evaluated on every row
+    # sums of three or more terms, monomials, a diagonal of one column, a
+    # direct sum of neither, and the family's t = 0 member are evaluated on
+    # every row
     assert binomial_family(2, 3)(0.0).floor is None
     none = "dsum(ssum(mono:1;ssum(mono:1;mono:2));ssum(mono:1;ssum(mono:1;mono:1)))"
-    for text in (*(t for t in MODULI_SPECS if t not in MODULI_DSUMS), *LONG_SUMS[:3], none):
+    leaves = [t for t in MODULI_SPECS if t.startswith("mono")]
+    for text in (*leaves, "diag:2", "diag:7", *LONG_SUMS[:3], none):
         assert potential_from_spec(parse_spec(text)).floor is None
+
+
+def diagonal_floor_points(half, rng):
+    """Squared moduli of 20000 points per diagonal with exponents ``half``:
+    on a polydisk of radius 2, on one of radius 1e150, where large powers
+    overflow to inf, and where every power |z_i|^{m_i} lies between
+    exp(-747) and exp(-737), deep in the subnormal range or 0, as it is 0
+    on every column of the first 10 rows."""
+    u = rng.random((20_000, len(half)))
+    subnormal = np.exp(-(737.0 + 10.0 * u) / half)
+    subnormal[:10] = np.exp(-760.0 / half)
+    return {"radius 2": 4.0 * u, "radius 1e150": 1e300 * u, "subnormal powers": subnormal}
+
+
+@pytest.mark.parametrize("text", FLOORED_DIAGONALS)
+def test_diagonal_floor_is_below_phi_past_the_unit_radius_and_where_powers_are_subnormal(text):
+    spec = parse_spec(text)
+    half = np.array(spec.orders) / 2.0
+    p = potential_from_spec(spec)
+    for name, sq in diagonal_floor_points(half, np.random.default_rng(10)).items():
+        sq.flags.writeable = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", under="ignore"):
+                floor, phi = p.floor(sq), p.phi(sq, None)
+        assert not np.isnan(floor).any(), name
+        finite = np.isfinite(phi)
+        assert (floor[~finite] <= phi[~finite]).all(), name
+        assert (floor[finite] <= phi[finite] + 1e-12 * np.abs(phi[finite])).all(), name
+        if name == "radius 1e150":
+            assert np.isposinf(phi).any() and np.isfinite(floor).all()
+        if name == "subnormal powers":
+            # the largest term's log passes phi by more than the sampler's
+            # margin where pow rounds a subnormal power down or to 0; the floor
+            # is -inf there, which keeps every such row
+            with np.errstate(divide="ignore"):
+                largest = (np.log(sq) * half).max(axis=1)
+            assert (largest > phi + 1e-9).any() and np.isneginf(phi[:10]).all()
+            assert np.isneginf(floor).all()
 
 
 @pytest.mark.parametrize("text", MODULI_DSUMS)
 def test_floor_of_a_direct_sum_of_the_moduli_is_below_phi_bitwise(text):
-    # its floor is the larger of its leaves' phi, which logaddexp never rounds below
+    # its floor is the larger of its leaves' bounds, which logaddexp never
+    # rounds below: the phi of a monomial or a one-column diagonal, and the
+    # floor of a wider diagonal, the log of its largest term, which lies below
+    # that diagonal's phi on these points (in general, to a few units in the
+    # last place)
     p = potential_from_spec(parse_spec(text))
     for seed in (8, 9):
         # vanishing coordinates and a vanishing point, where phi is -inf
@@ -982,7 +1095,7 @@ def test_pruned_counts_equal_the_counts_of_every_row(samples, workers):
         *(binomial_family(m, p)(t) for m, p in [(2, 2), (2, 3), (5, 3)] for t in (-1.0, 0.1, 1e6)),
         binomial_family(2, 3)(0.0),  # no floor, on the same chunks
         potential_from_spec(parse_spec("ssum(mono:2;mono:3)")),
-        *(potential_from_spec(parse_spec(text)) for text in FLOORED_DSUMS),
+        *(potential_from_spec(parse_spec(text)) for text in (*FLOORED_DSUMS, *FLOORED_DIAGONALS)),
     ]
     unpruned = [dataclasses.replace(p, floor=None) for p in potentials]
     for thresholds in grids:
@@ -1000,13 +1113,33 @@ def test_pruned_counts_equal_the_counts_of_every_row(samples, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pruned_estimate_close_to_the_unit_radius(workers):
     # at r = 0.999 the cap is just below 0, where most rows have their floor
-    texts = ("ssum(mono:1,1;mono:3)", *FLOORED_DSUMS)
+    texts = ("ssum(mono:1,1;mono:3)", *FLOORED_DSUMS, *FLOORED_DIAGONALS)
     potentials = [binomial_family(2, 3)(-0.5), *(potential_from_spec(parse_spec(t)) for t in texts)]
     for p in potentials:
         full = dataclasses.replace(p, floor=None)
         for samples in (300_001, 3 * volume._CHUNK + 777):
             pruned = estimate_sublevel_volume(p, 0.999, samples=samples, seed=SEED, workers=workers)
             assert pruned == estimate_sublevel_volume(full, 0.999, samples=samples, seed=SEED)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_counts_equal_the_counts_of_every_row_below_the_smallest_normal_float(workers):
+    # radii from 1e-321 down to 1e-323, below the smallest normal float, on
+    # polydisks so small that the diagonals' powers are subnormal there, where
+    # the largest term's log can pass phi by more than the sampler's margin
+    thresholds = np.log(np.geomspace(1e-321, 1e-323, 12))
+    potentials = [
+        potential_from_spec(parse_spec("diag:4,6"), 1e-80),
+        potential_from_spec(parse_spec("diag:8,8,8,8,8,8,8,8,9"), 1e-40),
+        potential_from_spec(parse_spec("dsum(mono:0,9;diag:4,6)"), 1e-80),
+    ]
+    for p in potentials:
+        assert p.floor is not None
+        ((counts, _, _),) = volume._sample_group([p], thresholds, 300_001, SEED, workers)
+        full = dataclasses.replace(p, floor=None)
+        ((expected, _, _),) = volume._sample_group([full], thresholds, 300_001, SEED, 1)
+        np.testing.assert_array_equal(counts, expected)
+        assert 0 < expected[0] < 300_001
 
 
 def test_a_nan_floor_keeps_its_row():
