@@ -35,18 +35,25 @@ share its chunk.  phi must be pointwise (row i of its value depends only
 on row i of its arguments): it is called on the row blocks of a chunk,
 and its counts are those of the whole chunk.
 
+Principal monomials, diagonal ideals and their direct sums have one form
+of the moduli, log sum_j |g_j| over the generators g_j of the ideal: a
+monomial is one generator, a diagonal ideal one pure power per variable,
+and a direct sum the generators of its blocks, with a separated-sum block
+as one more whose log is that block's phi.  With l_j the log of |g_j| and
+l the largest, phi = l + log sum_j exp(l_j - l), which forms no power, so
+nothing overflows or underflows.
+
 A potential may carry a floor, a lower bound of phi from the squared
-moduli alone; a separated sum of two monomials carries log|a - b|, a
-diagonal ideal of two or more variables the log of its largest term,
-max_i m_i log|z_i| (-inf where that term is below the smallest normal
-float, as its subnormal power has fewer bits), and a direct sum the
-larger of its blocks' floors and of the phi of its blocks of the moduli.
-On each row block the sampler computes the floor first and evaluates phi
-only on the rows whose floor is below the largest threshold plus a
-margin far above rounding, gathered into new arrays: a row it skips has
-phi above every threshold, so no count changes, and the cosines of the
-rows far from the zero set of f, the powers of a diagonal's rows and the
-logaddexp of a direct sum's rows far from its zero set are never taken.
+moduli alone; a separated sum of two monomials carries log|a - b|, and
+the form of two or more generators its largest l_j, which phi is never
+below in floats (a separated-sum block bounds by its floor, which passes
+its phi by a few units in the last place at most).  On each row block
+the sampler computes the floor first and evaluates phi only on the rows
+whose floor is below the largest threshold plus a margin far above
+rounding, gathered into new arrays: a row it skips has phi above every
+threshold, so no count changes, and the cosines of the rows far from the
+zero set of f and the exponentials of the rows whose largest generator
+is above every threshold are never taken.
 
 Every fit goes through one path, which fits a list of potentials on one
 shared sample set: each chunk is drawn once per polydisk, and the
@@ -102,8 +109,10 @@ _CHUNK_BYTES = 1 << 27
 # on coordinates takes, which tracemalloc measures at 24-30 (draws,
 # interleaved coordinates and a complex copy in the evaluator); separated
 # sums take 19-25, the most where a binomial's floor keeps nearly every
-# row and the kept rows are gathered, and potentials of the moduli 10-14,
-# the most for one variable when the largest threshold nears 0.
+# row and the kept rows are gathered, and potentials of the moduli 11-15:
+# 12.0 for one variable, 14.2 for a diagonal of 9 columns and 14.0 for a
+# nested direct sum, and 15.0 for diag:2,3, each the most on a grid to
+# r = 0.999, where a floor keeps most rows and they are gathered.
 _COORDINATE_BYTES = 32
 _MODULI_BYTES = 16
 
@@ -119,11 +128,6 @@ _RADIUS_BYTES = 512
 # is far above that; a row whose floor lies less than 1e-9 above the
 # largest threshold is evaluated, not skipped.
 _FLOOR_MARGIN = 1e-9
-
-# Log of the smallest normal float, about -708.4.  Below it a power of a
-# modulus is subnormal and keeps fewer bits than a normal float, so a
-# diagonal's floor there is set to -inf, which keeps every such row.
-_LOG_TINY = math.log(np.finfo(float).tiny)
 
 # _count_below's two ways to count a row block, measured on 2^15 rows and
 # on 50 to 8000 (2-vCPU Xeon, numpy 2.4): one compare pass over phi costs
@@ -169,9 +173,9 @@ class SampledPotential:
 
     ``floor`` is internal: :func:`potential_from_spec` and
     :func:`binomial_family` set it on separated sums of two monomials, and
-    potential_from_spec on diagonal ideals of two or more variables and on
-    direct sums with a block of the moduli or a block with a floor; a
-    potential built by hand leaves it None.
+    potential_from_spec on the moduli form of two or more generators with a
+    generator of the moduli or a block with a floor; a potential built by
+    hand leaves it None.
     ``floor(sq)`` maps the squared moduli alone to an (N,) array of lower
     bounds of phi as computed in floats, up to a few units in the last
     place; NaN bounds nothing.  Sampling calls it on each row block, and
@@ -269,55 +273,25 @@ def _column_sum(x: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     return np.zeros(x.shape[0]) if out is None else out
 
 
-def _row_sum(cols: np.ndarray) -> np.ndarray:
-    """Per column j of the (k, N) ``cols``, the sum over i of cols[i, j],
-    added in the order of numpy's pairwise_sum, which np.sum(axis=1) runs
-    on each row of the transposed, C-contiguous block; the rows of ``cols``
-    are the accumulators, so it is overwritten.  Fewer than 8 terms are
-    added in turn; 8 to 128 go to 8 accumulators, every 8th term to each,
-    joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the
-    rest are added in turn; more are split at half their count, rounded
-    down to a multiple of 8."""
-    k = len(cols)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        total = _row_sum(cols[:half])
-        total += _row_sum(cols[half:])
-        return total
-    if k < 8:
-        for col in cols[1:]:
-            cols[0] += col
-        return cols[0]
-    accumulators = cols[:8]
-    stop = k - k % 8
-    for i in range(8, stop, 8):
-        accumulators += cols[i : i + 8]
-    accumulators[0::2] += accumulators[1::2]
-    accumulators[0::4] += accumulators[2::4]
-    accumulators[0] += accumulators[4]
-    for col in cols[stop:]:
-        cols[0] += col
-    return cols[0]
-
-
-def _contiguous(block: np.ndarray) -> np.ndarray:
-    """A 2-D ``block`` as a C-contiguous array, with the bytes
-    np.ascontiguousarray gives it: itself if it is one, else a copy.  Where
-    each row is one run of memory, as in a column view of a wider block,
-    the copy moves one void item per row, which np.ascontiguousarray's
-    element-by-element copy takes about 7 times as long to do."""
-    if block.flags.c_contiguous or block.strides[1] != block.itemsize:
-        return np.ascontiguousarray(block)
-    rows = block.view(np.dtype((np.void, block.itemsize * block.shape[1])))
-    return rows.copy().view(block.dtype).reshape(block.shape)
-
-
 def _term_logs(sq: np.ndarray, halves: np.ndarray) -> list[np.ndarray]:
     """Per row h of ``halves``, its term's log-modulus sum_i h_i log|z_i|^2,
     from one log of the squared moduli; a weight of 0 adds nothing."""
     with np.errstate(divide="ignore"):
         log_sq = np.log(sq)
     return [_column_sum(log_sq, half) for half in halves]
+
+
+def _shift_by_largest(logs: list[np.ndarray]) -> np.ndarray:
+    """The largest l of the log-moduli ``logs``, each of which becomes
+    l_j - l in place; where l is -inf every term vanishes, and its logs stay
+    -inf, whose exp is 0."""
+    big = logs[0].copy()  # a running maximum: no (k, N) copy of the logs
+    for log_j in logs[1:]:
+        np.maximum(big, log_j, out=big)
+    some = big > -np.inf
+    for log_j in logs:
+        np.subtract(log_j, big, out=log_j, where=some)
+    return big
 
 
 def _binomial_polar(
@@ -393,14 +367,10 @@ def _polynomial_polar(rows: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np
 
     def polar(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
         logs = _term_logs(sq, halves)
-        big = logs[0].copy()  # a running maximum: no (k, N) copy of the logs
-        for log_j in logs[1:]:
-            np.maximum(big, log_j, out=big)
+        big = _shift_by_largest(logs)
         re, im = np.zeros_like(big), np.zeros_like(big)
         for w, alpha in zip(logs, rows):
-            # w_j, and 0 where every term vanishes
-            np.subtract(w, big, out=w, where=big > -np.inf)
-            w = np.exp(w, out=w)
+            w = np.exp(w, out=w)  # w_j, and 0 where every term vanishes
             phase = _column_sum(theta, alpha)
             re += w * np.cos(phase)
             im += w * np.sin(phase, out=phase)
@@ -413,130 +383,108 @@ def _polynomial_polar(rows: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np
     return polar
 
 
+def _joined(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The exponent rows of two blocks on disjoint variables, ``left``'s
+    then ``right``'s, each padded with zeros over the other's variables."""
+    rows = np.zeros((len(left) + len(right), left.shape[1] + right.shape[1]))
+    rows[: len(left), : left.shape[1]] = left
+    rows[len(left) :, left.shape[1] :] = right
+    return rows
+
+
 def _terms(spec: MonomialIdealSpec) -> np.ndarray:
     """The exponent rows of a separated sum of principal monomials, one per
     monomial in order, over all the sum's variables."""
     if isinstance(spec, PrincipalMonomial):
         return _floats(spec.exponents)[np.newaxis]
     if isinstance(spec, SeparatedSum):
-        left, right = _terms(spec.left), _terms(spec.right)
-        rows = np.zeros((len(left) + len(right), spec.nvars))
-        rows[: len(left), : spec.left.nvars] = left
-        rows[len(left) :, spec.left.nvars :] = right
-        return rows
+        return _joined(_terms(spec.left), _terms(spec.right))
     raise InvalidInputError(
         "only principal monomials and separated sums denote a single function; "
         f"cannot sample {type(spec).__name__} inside a separated sum"
     )
 
 
-def _bound(form: tuple[Callable, bool, Optional[Callable]], columns: slice) -> Optional[Callable]:
-    """A lower bound, from the squared moduli alone, of the potential of a
-    form read on ``columns`` of a block: its floor, or its phi if it reads
-    no angles; None if it has neither."""
-    phi, angles, floor = form
-    if floor is None and angles:
-        return None
-
-    def bound(sq: np.ndarray) -> np.ndarray:
-        block = sq[:, columns]
-        return phi(block, None) if floor is None else floor(block)
-
-    return bound
+def _generators(spec: MonomialIdealSpec) -> tuple[np.ndarray, list[tuple[slice, tuple]]]:
+    """The generators of a spec of the moduli's ideal: the exponent rows of
+    its monomials over all the spec's variables (one for a principal
+    monomial, a pure power per variable for a diagonal ideal), and, for a
+    direct sum, the forms of its separated-sum blocks with the columns each
+    reads, each one more generator."""
+    if isinstance(spec, PrincipalMonomial):
+        return _floats(spec.exponents)[np.newaxis], []
+    if isinstance(spec, Diagonal):
+        return np.diag(_floats(spec.orders)), []
+    if isinstance(spec, DirectSum):
+        k = spec.left.nvars
+        (left, left_blocks), (right, right_blocks) = _generators(spec.left), _generators(spec.right)
+        right_blocks = [(slice(c.start + k, c.stop + k), form) for c, form in right_blocks]
+        return _joined(left, right), left_blocks + right_blocks
+    if isinstance(spec, SeparatedSum):
+        return np.zeros((0, spec.nvars)), [(slice(0, spec.nvars), _form(spec))]
+    raise InvalidInputError(f"expected a monomial ideal spec, got {type(spec).__name__}")
 
 
 def _form(spec: MonomialIdealSpec) -> tuple[Callable, bool, Optional[Callable]]:
     """The phi of a spec's potential (see :func:`potential_from_spec`),
-    whether it reads the angles, and its floor, built by recursion over the
-    spec."""
-    # Each leaf of the moduli takes a contiguous copy of its block, which a
-    # direct sum passes down as a column view, so it sees the bytes it would
-    # see on its own (numpy may run other SIMD loops on strided data) and
-    # only one block's copy is alive at a time.
-    if isinstance(spec, PrincipalMonomial):
-        alpha = _floats(spec.exponents)
-        unused = alpha == 0
-        half = alpha / 2.0
-
-        def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
-            with np.errstate(divide="ignore"):
-                log_sq = np.log(_contiguous(sq))
-            # a vanishing coordinate of exponent 0 adds nothing, where
-            # 0 * log 0 would make the sum NaN
-            log_sq[:, unused] = 0.0
-            return log_sq @ half
-
-        return monomial, False, None
-    if isinstance(spec, Diagonal):
-        half = _floats(spec.orders) / 2.0
-
-        def diagonal(sq: np.ndarray, theta: None) -> np.ndarray:
-            # the bytes of np.log(np.sum(sq**half, axis=1)) on a contiguous
-            # block, one long contiguous column at a time.  On two or more
-            # columns sq**half runs numpy's pow kernel on every element, as
-            # an exponent array does; a scalar exponent takes numpy's fast
-            # paths (sqrt for 0.5, a square for 2), as sq**half does on one.
-            cols = sq.T.copy()
-            exps = np.empty(sq.shape[0])
-            for col, h in zip(cols, half):
-                exps.fill(h)
-                np.power(col, exps if len(cols) > 1 else h, out=col)
-            with np.errstate(divide="ignore"):
-                return np.log(_row_sum(cols))
-
-        if len(half) == 1:
-            return diagonal, False, None  # its phi costs what a floor would
-        weights = half[:, np.newaxis]
-
-        def floor(sq: np.ndarray) -> np.ndarray:
-            # max_i h_i log|z_i|^2, one log in place of the pow kernel.  phi
-            # adds powers t_i >= 0, and a sum of nonnegative floats rounds to at
-            # least its largest term t_j, so phi >= log t_j.  Where the floor is
-            # at least _LOG_TINY, the exact |z_j|^{m_j} is at least about the
-            # smallest normal float, where pow rounds to a few units in the last
-            # place, so log t_j lies within a few units of h_j log|z_j|^2: about
-            # 1e-13 at |phi| = 708, far below _FLOOR_MARGIN.  Below it t_j may be
-            # subnormal or 0, with fewer bits, and the floor is -inf, so a cap
-            # below -708 (r_max < 3e-308) skips no row; t_j = inf leaves phi inf.
-            logs = sq.T.copy()
-            with np.errstate(divide="ignore"):
-                logs = np.log(logs, out=logs)
-            logs *= weights
-            low = logs.max(axis=0)  # NaN kept
-            low[low < _LOG_TINY] = -np.inf
-            return low
-
-        return diagonal, False, floor
-    if isinstance(spec, DirectSum):
-        left_form, right_form = _form(spec.left), _form(spec.right)
-        (left, left_angles, _), (right, right_angles, _) = left_form, right_form
-        k = spec.left.nvars
-
-        def direct_sum(sq: np.ndarray, theta: Optional[np.ndarray]) -> np.ndarray:
-            return np.logaddexp(
-                left(sq[:, :k], theta[:, :k] if left_angles else None),
-                right(sq[:, k:], theta[:, k:] if right_angles else None),
-            )
-
-        left_bound, right_bound = _bound(left_form, np.s_[:k]), _bound(right_form, np.s_[k:])
-        if left_bound and right_bound:
-
-            def floor(sq: np.ndarray) -> np.ndarray:
-                # logaddexp(x, y) >= max(x, y) in floats: it is the larger plus
-                # log1p(exp(-|x - y|)) >= 0, or x + log 2 where x = y
-                low = left_bound(sq)
-                return np.maximum(low, right_bound(sq), out=low)  # NaN kept
-
-        else:
-            floor = left_bound or right_bound
-        return direct_sum, left_angles or right_angles, floor
+    whether it reads the angles, and its floor."""
     if isinstance(spec, SeparatedSum):
         rows = _terms(spec)
         if len(rows) == 2:
             polar, floor = _binomial_polar(rows, 1.0)
             return polar, True, floor
         return _polynomial_polar(rows), True, None
-    raise InvalidInputError(f"expected a monomial ideal spec, got {type(spec).__name__}")
+    rows, blocks = _generators(spec)
+    halves = rows / 2.0
+    if len(halves) == 1 and not blocks:
+        (half,) = halves
+        unused = half == 0
+
+        def monomial(sq: np.ndarray, theta: None) -> np.ndarray:
+            with np.errstate(divide="ignore"):
+                log_sq = np.log(sq)
+            # a vanishing coordinate of exponent 0 adds nothing, where
+            # 0 * log 0 would make the sum NaN
+            log_sq[:, unused] = 0.0
+            return log_sq @ half
+
+        return monomial, False, None
+
+    def moduli_sum(sq: np.ndarray, theta: Optional[np.ndarray]) -> np.ndarray:
+        # log sum_j |g_j| = l + log sum_j exp(l_j - l), with l_j the log of
+        # generator j and l the largest, so no term overflows or underflows
+        logs = _term_logs(sq, halves) if len(halves) else []
+        for columns, (block_phi, angles, _) in blocks:
+            logs.append(block_phi(sq[:, columns], theta[:, columns] if angles else None))
+        big = _shift_by_largest(logs)
+        total = np.exp(logs[0], out=logs[0])
+        for w in logs[1:]:
+            total += np.exp(w, out=w)
+        with np.errstate(divide="ignore"):  # -inf where every term vanishes
+            phi = np.log(total, out=total)
+        phi += big
+        return phi
+
+    angles = any(reads for _, (_, reads, _) in blocks)
+    floors = [(columns, bound) for columns, (_, _, bound) in blocks if bound is not None]
+    if not len(halves) and not floors:
+        return moduli_sum, angles, None
+
+    def floor(sq: np.ndarray) -> np.ndarray:
+        # The largest l_j, or a block's floor in place of its phi.  The sum
+        # above holds exp(l - l) = 1 and terms exp(l_j - l) >= 0, and a float
+        # sum of 1 and nonnegative terms is at least 1, whose log is at least
+        # 0, so phi = l + log(sum) >= l exactly in floats; no power is formed,
+        # so nothing is subnormal.  A block's floor passes its phi by a few
+        # units in the last place at most.
+        bounds = _term_logs(sq, halves) if len(halves) else []
+        bounds += [block_floor(sq[:, columns]) for columns, block_floor in floors]
+        low = bounds[0]
+        for bound in bounds[1:]:
+            np.maximum(low, bound, out=low)  # NaN kept
+        return low
+
+    return moduli_sum, angles, floor
 
 
 def potential_from_spec(
@@ -544,21 +492,19 @@ def potential_from_spec(
 ) -> SampledPotential:
     """Sampling potential matching the exact threshold semantics of a spec.
 
-    Principal monomials become sum alpha_i log|z_i| and separated sums
-    log|f|; diagonal ideals become log sum |z_i|^{m_i}; direct sums
-    combine via logaddexp (the max-equivalent potential of an ideal sum).
-    The potentials of principal monomials, diagonal ideals and their direct
-    sums depend only on the moduli and read no angles.  A separated sum is
-    evaluated in polar form from its monomials' moduli and phases; one of
-    two monomials also has the floor log|a - b| of its moduli a and b.  A
-    diagonal ideal of two or more variables has the floor max_i m_i
-    log|z_i|, the log of its largest term, which is -inf where that term is
-    below the smallest normal float (its power is subnormal there, with
-    fewer bits than the floor), so a grid whose largest radius is below
-    about 3e-308 evaluates every row.  A direct sum has the floor max(x, y),
-    which logaddexp(x, y) never rounds below, of its blocks' bounds: a
-    block's floor, or its phi if it reads no angles; a block with neither
-    bounds nothing, and a direct sum of two such blocks has no floor.
+    Principal monomials, diagonal ideals and their direct sums become log
+    sum_j |g_j| over the generators g_j of the ideal (the max-equivalent
+    potential of an ideal sum): a monomial's one, a diagonal's pure powers
+    |z_i|^{m_i}, and a direct sum's blocks' generators, where a
+    separated-sum block is one more generator, whose log is that block's
+    phi.  One monomial is sum alpha_i log|z_i|.  Two or more generators are
+    summed as l + log sum_j exp(l_j - l), with l_j = log|g_j| and l the
+    largest, and carry the floor l, which phi is never below in floats; a
+    separated-sum block bounds by its floor, and one with none is left out
+    of the floor.  Separated sums become log|f|, evaluated in polar form
+    from their monomials' moduli and phases; they are the only potentials
+    that read the angles, and one of two monomials has the floor log|a - b|
+    of its moduli a and b.
     """
     phi, angles, floor = _form(spec)
     return SampledPotential(phi, spec.nvars, radius, angles, floor)

@@ -2,10 +2,12 @@
 fit behavior, and serialization."""
 
 import dataclasses
+import functools
 import importlib
 import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -710,6 +712,44 @@ def coordinate_reference(spec):
     return lambda coords: np.logaddexp(left(coords[:, :off]), right(coords[:, off:]))
 
 
+def generator_rows(spec):
+    """The exponent rows of the generators of a spec of the moduli, over all
+    its variables: a monomial's exponents, a diagonal's pure powers, and a
+    direct sum's blocks' rows, padded with zeros."""
+    if isinstance(spec, PrincipalMonomial):
+        return [list(spec.exponents)]
+    if isinstance(spec, Diagonal):
+        return [[m if i == j else 0 for i in range(spec.nvars)] for j, m in enumerate(spec.orders)]
+    left, right = generator_rows(spec.left), generator_rows(spec.right)
+    return [row + [0] * spec.right.nvars for row in left] + [
+        [0] * spec.left.nvars + row for row in right
+    ]
+
+
+def log_sum_exp_reference(spec):
+    """log sum_j |g_j| of a spec of the moduli on its squared moduli, over its
+    generators g_j, in the operations that its moduli form must reproduce
+    bit for bit: l_j adds alpha_ji/2 log|z_i|^2 over the nonzero exponents in
+    column order, and phi is the largest l_j plus the log of the sum of the
+    exp(l_j - l), added in order.  A monomial is its one l_j."""
+    rows = generator_rows(spec)
+
+    def reference(sq):
+        with np.errstate(divide="ignore"):
+            log_sq = np.log(sq)
+        logs = np.array([
+            functools.reduce(operator.add, [a / 2.0 * log_sq[:, i] for i, a in enumerate(row) if a])
+            for row in rows
+        ])
+        big = logs.max(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = big + np.log(sum(np.exp(log_j - big) for log_j in logs))
+        phi[np.isneginf(big)] = -np.inf  # every generator vanishes
+        return phi
+
+    return reference
+
+
 @pytest.mark.parametrize("text", MODULI_SPECS)
 def test_moduli_form_keeps_the_coordinate_evaluator_bytes(text):
     spec = parse_spec(text)
@@ -719,8 +759,14 @@ def test_moduli_form_keeps_the_coordinate_evaluator_bytes(text):
     coords = rng.uniform(-0.7, 0.7, size=(20_000, 2 * spec.nvars))
     coords[:50, :2] = 0.0  # a vanishing first coordinate
     coords[50:60] = 0.0
-    expected = coordinate_reference(spec)(coords)
+    if isinstance(spec, PrincipalMonomial):
+        expected = coordinate_reference(spec)(coords)
+    else:
+        expected = log_sum_exp_reference(spec)(coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2)
     assert p.evaluator(coords).tobytes() == expected.tobytes()
+    # it agrees with the powers added by np.sum and joined by np.logaddexp up
+    # to rounding, about 3 times the largest difference seen
+    np.testing.assert_allclose(expected, coordinate_reference(spec)(coords), rtol=0, atol=1e-14)
     # the moduli form agrees with it up to rounding, and does not touch its input
     sq = coords[:, 0::2] ** 2 + coords[:, 1::2] ** 2
     before = sq.copy()
@@ -728,15 +774,11 @@ def test_moduli_form_keeps_the_coordinate_evaluator_bytes(text):
     np.testing.assert_array_equal(sq, before)
 
 
-# fewer than 8 columns numpy adds in turn, 8 to 128 in 8 accumulators, and
-# more it splits in two
 DIAGONAL_WIDTHS = [*range(1, 21), 64, 129, 200]
 
 
 @pytest.mark.parametrize("width", DIAGONAL_WIDTHS)
 def test_diagonal_form_keeps_the_bytes_of_its_row_sum(width):
-    # orders 1, 2 and 4 are those whose scalar exponent numpy runs as sqrt,
-    # the identity and a square; each is the first of some block
     orders = (1, 2, 4, 3, 7)
     rng = np.random.default_rng(width)
     wide = rng.random((2000 if width <= 20 else 200, width + 2))
@@ -744,40 +786,15 @@ def test_diagonal_form_keeps_the_bytes_of_its_row_sum(width):
     wide[20:30] = 0.0  # a vanishing point, where phi is -inf
     wide.flags.writeable = False
     for shift in range(4):
-        half = np.array([orders[(i + shift) % len(orders)] for i in range(width)]) / 2.0
-        p = potential_from_spec(Diagonal(tuple(int(2 * h) for h in half)))
+        spec = Diagonal(tuple(orders[(i + shift) % len(orders)] for i in range(width)))
+        p = potential_from_spec(spec)
         # a contiguous block, and a column view of a wider one, as a direct sum passes it
-        for sq in (np.ascontiguousarray(wide[:, :width]), wide[:, 1 : width + 1]):
-            with np.errstate(divide="ignore"):
-                expected = np.log(np.sum(np.ascontiguousarray(sq) ** half, axis=1))
-            assert np.isneginf(expected[20:30]).all()
-            assert p.phi(sq, None).tobytes() == expected.tobytes()
-
-
-def test_contiguous_copies_a_column_block_with_the_bytes_of_ascontiguousarray():
-    rng = np.random.default_rng(12)
-    wide = rng.normal(size=(3001, 6))
-    wide[:5] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.0]
-    wide.flags.writeable = False
-    gathered = volume._gather(wide, np.flatnonzero(rng.random(3001) < 0.3))
-    # column blocks without contiguous rows, which take np.ascontiguousarray
-    transposed = wide.T.copy().T
-    transposed.flags.writeable = False
-    for block in (wide, gathered, transposed):
-        for width in range(1, 6):
-            for offset in range(7 - width):
-                view = block[:, offset : offset + width]
-                copy = volume._contiguous(view)
-                expected = np.ascontiguousarray(view)
-                assert copy.dtype == expected.dtype and copy.shape == expected.shape
-                assert copy.tobytes() == expected.tobytes()
-                if view.flags.c_contiguous:
-                    # one column of the transposed block: no copy, as np.ascontiguousarray has it
-                    assert block is transposed and width == 1 and copy is view
-                    continue
-                assert copy.flags.c_contiguous and copy.flags.writeable
-                assert not np.shares_memory(copy, block)
-    assert volume._contiguous(wide) is wide
+        view = wide[:, 1 : width + 1]
+        contiguous = np.ascontiguousarray(view)
+        expected = log_sum_exp_reference(spec)(contiguous)
+        assert np.isneginf(expected[20:30]).all()
+        assert p.phi(contiguous, None).tobytes() == expected.tobytes()
+        assert p.phi(view, None).tobytes() == expected.tobytes()
 
 
 def test_only_potentials_of_the_moduli_carry_the_moduli_form():
@@ -1027,13 +1044,24 @@ def test_direct_sums_and_two_term_separated_sums_carry_a_floor():
 def diagonal_floor_points(half, rng):
     """Squared moduli of 20000 points per diagonal with exponents ``half``:
     on a polydisk of radius 2, on one of radius 1e150, where large powers
-    overflow to inf, and where every power |z_i|^{m_i} lies between
-    exp(-747) and exp(-737), deep in the subnormal range or 0, as it is 0
-    on every column of the first 10 rows."""
+    pass the float range, and where every power |z_i|^{m_i} lies between
+    exp(-747) and exp(-737), below the smallest normal float, or below
+    exp(-760) on every column of the first 10 rows."""
     u = rng.random((20_000, len(half)))
     subnormal = np.exp(-(737.0 + 10.0 * u) / half)
     subnormal[:10] = np.exp(-760.0 / half)
     return {"radius 2": 4.0 * u, "radius 1e150": 1e300 * u, "subnormal powers": subnormal}
+
+
+def log_sum_exp(sq_row, half):
+    """log sum_i |z_i|^{m_i} of one row, in Python floats: the log of each
+    power, and the correctly rounded math.fsum of their exponentials less
+    the largest; -inf if every power vanishes."""
+    logs = [h * math.log(x) for x, h in zip(sq_row, half) if x > 0]
+    if not logs:
+        return -math.inf
+    big = max(logs)
+    return big + math.log(math.fsum(math.exp(log - big) for log in logs))
 
 
 @pytest.mark.parametrize("text", FLOORED_DIAGONALS)
@@ -1041,26 +1069,19 @@ def test_diagonal_floor_is_below_phi_past_the_unit_radius_and_where_powers_are_s
     spec = parse_spec(text)
     half = np.array(spec.orders) / 2.0
     p = potential_from_spec(spec)
-    for name, sq in diagonal_floor_points(half, np.random.default_rng(10)).items():
+    rng = np.random.default_rng(10)
+    for name, sq in diagonal_floor_points(half, rng).items():
         sq.flags.writeable = False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(over="ignore", under="ignore"):
-                floor, phi = p.floor(sq), p.phi(sq, None)
+            floor, phi = p.floor(sq), p.phi(sq, None)
         assert not np.isnan(floor).any(), name
-        finite = np.isfinite(phi)
-        assert (floor[~finite] <= phi[~finite]).all(), name
-        assert (floor[finite] <= phi[finite] + 1e-12 * np.abs(phi[finite])).all(), name
-        if name == "radius 1e150":
-            assert np.isposinf(phi).any() and np.isfinite(floor).all()
-        if name == "subnormal powers":
-            # the largest term's log passes phi by more than the sampler's
-            # margin where pow rounds a subnormal power down or to 0; the floor
-            # is -inf there, which keeps every such row
-            with np.errstate(divide="ignore"):
-                largest = (np.log(sq) * half).max(axis=1)
-            assert (largest > phi + 1e-9).any() and np.isneginf(phi[:10]).all()
-            assert np.isneginf(floor).all()
+        assert (floor <= phi).all(), name
+        # no power is formed, so none overflows or underflows
+        assert np.isfinite(phi[(sq > 0).all(axis=1)]).all(), name
+        for i in [*range(10), *rng.choice(len(sq), 300, replace=False)]:
+            expected = log_sum_exp(sq[i].tolist(), half.tolist())
+            assert abs(phi[i] - expected) <= 1e-13 * max(1.0, abs(expected)), (name, i)
 
 
 @pytest.mark.parametrize("text", MODULI_DSUMS)
