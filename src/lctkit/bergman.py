@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InternalError, InvalidInputError, require_int, require_real
+from .errors import InternalError, InvalidInputError, require_instance, require_int, require_real
 from .extrational import ExtRational
 
 DEFAULT_TABLE_MARGIN = 64  # default K_max = k_min + this
@@ -75,8 +75,8 @@ class BergmanApprox:
 
 def minimal_degree(w: RadialWeight, m: int) -> int:
     """Smallest k with k + 1 - mc > 0, i.e. floor(mc)."""
-    mc = w.c * m
-    return mc.numerator // mc.denominator
+    require_instance(w, RadialWeight, "expected a RadialWeight, got {kind}")
+    return math.floor(w.c * require_int(m, 1, "m must be a positive integer"))
 
 
 def build_approx(w: RadialWeight, m: int, k_max: Union[int, None] = None) -> BergmanApprox:
@@ -127,8 +127,7 @@ def _log_series(ap: BergmanApprox, z_abs: float) -> tuple[float, float]:
 
 def eval_psi_m(ap: BergmanApprox, z_abs: float) -> float:
     """psi_m(z) = (1/2m) log sum_{k_min}^{k_max} sigma_k |z|^{2k}."""
-    if not isinstance(ap, BergmanApprox):
-        raise InvalidInputError("expected a BergmanApprox")
+    require_instance(ap, BergmanApprox, "expected a BergmanApprox")
     require_real(z_abs, "z_abs must be a number in (0, 1), got {value!r}", 0.0, 1.0)
     lead, poly = _log_series(ap, z_abs)
     return (lead + poly) / (2 * ap.m)
@@ -141,8 +140,7 @@ def eval_tail_bound(ap: BergmanApprox, z_abs: float) -> float:
     sum_{k > K} (k+1) x^k = x^{K+1} ((K+2)(1-x) + x) / (1-x)^2,
     then log(S + T) - log S <= T/S.
     """
-    if not isinstance(ap, BergmanApprox):
-        raise InvalidInputError("expected a BergmanApprox")
+    require_instance(ap, BergmanApprox, "expected a BergmanApprox")
     require_real(z_abs, "z_abs must be a number in (0, 1), got {value!r}", 0.0, 1.0)
     x = z_abs * z_abs
     K = ap.k_max
@@ -155,8 +153,7 @@ def eval_tail_bound(ap: BergmanApprox, z_abs: float) -> float:
 
 def lelong_of_psi_m(ap: BergmanApprox) -> ExtRational:
     """Lelong number of psi_m at 0: the lowest degree over m, k_min/m."""
-    if not isinstance(ap, BergmanApprox):
-        raise InvalidInputError("expected a BergmanApprox")
+    require_instance(ap, BergmanApprox, "expected a BergmanApprox")
     return ExtRational(Fraction(ap.k_min, ap.m))
 
 
@@ -168,6 +165,5 @@ def lower_bound_constant(ap: BergmanApprox) -> float:
     since k_min/m <= c and log|z| < 0.  So C1 = (1/2) log(pi/(k_min+1-mc)).
     Always positive: k_min + 1 - mc lies in (0, 1].
     """
-    if not isinstance(ap, BergmanApprox):
-        raise InvalidInputError("expected a BergmanApprox")
+    require_instance(ap, BergmanApprox, "expected a BergmanApprox")
     return 0.5 * math.log(math.pi / float(ap.pi_sigma[0]))

@@ -2,6 +2,8 @@
 
 The command line layer maps these onto exit codes: invalid input exits
 with 1, insufficient data with 2, and internal consistency failures with 3.
+
+Inputs are refused by require_int, require_real, require_instance and require_items, not assert.
 """
 
 import math
@@ -85,3 +87,21 @@ def require_real(value, message: str, low: float = -math.inf, high: float = math
         if low < real < high:
             return real
     raise InvalidInputError(message.format(value=value))
+
+
+def require_instance(value, kinds, message: str):
+    """``value`` if ``isinstance(value, kinds)``, ``kinds`` a class or a tuple of them (``bool``,
+    ``collections.abc.Callable``); else InvalidInputError with ``message.format(kind=...)``."""
+    if isinstance(value, kinds):
+        return value
+    raise InvalidInputError(message.format(kind=type(value).__name__))
+
+
+def require_items(value, message: str) -> tuple:
+    """``tuple(value)`` of any iterable, a str too; else InvalidInputError as
+    :func:`require_instance` raises it.  An error while iterating passes through."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise InvalidInputError(message.format(kind=type(value).__name__)) from None
+    return tuple(items)

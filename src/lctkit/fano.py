@@ -36,7 +36,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NotFanoError, exact_text, require_int
+from .errors import InvalidInputError, NotFanoError, exact_text, require_instance, require_int
+from .errors import require_items
 
 KE_CERTIFIED = "KE_CERTIFIED"
 KE_CERTIFIED_REFINED = "KE_CERTIFIED_REFINED"
@@ -85,7 +86,7 @@ class WeightSystem:
     d: int
 
     def __post_init__(self):
-        a = tuple(self.a)
+        a = require_items(self.a, "weights must be a sequence of integers, got {kind}")
         if len(a) != 4:
             raise InvalidInputError("exactly four weights required")
         for x in a:
@@ -248,8 +249,7 @@ def _fletcher_from(w: WeightSystem, monos: list[Monomial]) -> FletcherReport:
 
 
 def _require_weight_system(w) -> None:
-    if not isinstance(w, WeightSystem):
-        raise InvalidInputError(f"expected a WeightSystem, got {type(w).__name__}")
+    require_instance(w, WeightSystem, "expected a WeightSystem, got {kind}")
 
 
 def fletcher_check(w: WeightSystem) -> FletcherReport:
@@ -404,8 +404,7 @@ def certify(w: WeightSystem, allow_refined: bool = True) -> Certificate:
     about the components of (x0 = 0) and leaves INCONCLUSIVE.
     """
     _require_weight_system(w)
-    if not isinstance(allow_refined, bool):
-        raise InvalidInputError("allow_refined must be True or False")
+    require_instance(allow_refined, bool, "allow_refined must be True or False")
     monos = weighted_monomials(w)
     fletcher = _fletcher_from(w, monos)
 
@@ -488,8 +487,7 @@ class ScanConfig:
     def __post_init__(self):
         for name in ("max_a3", "min_a0", "fano_index"):
             require_int(getattr(self, name), 1, f"{name} must be a positive integer")
-        if not isinstance(self.require_refined, bool):
-            raise InvalidInputError("require_refined must be True or False")
+        require_instance(self.require_refined, bool, "require_refined must be True or False")
         if self.max_a3 < self.min_a0:
             raise InvalidInputError("max_a3 must be >= min_a0")
         size = self.box_systems
@@ -677,8 +675,7 @@ def scan(config: ScanConfig) -> ScanReport:
     is judged by the base criterion alone; with it True, systems whose
     curve verification is recorded may appear as KE_CERTIFIED_REFINED.
     """
-    if not isinstance(config, ScanConfig):
-        raise InvalidInputError(f"expected a ScanConfig, got {type(config).__name__}")
+    require_instance(config, ScanConfig, "expected a ScanConfig, got {kind}")
     # d = k - index <= 4 max_a3 - index, so an index of 4 max_a3 or more
     # leaves no system with d > 0 (and need not fit in int32 columns)
     rows = _prefilter(config) if config.fano_index < 4 * config.max_a3 else []

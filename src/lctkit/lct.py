@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InvalidInputError, require_int
+from .errors import InvalidInputError, require_instance, require_int, require_items
 from .extrational import ExtRational, INFINITY
 
 
@@ -48,8 +48,7 @@ class DivisorRecord:
         require_int(self.b, 0, "multiplicity must be a nonnegative integer, got {value!r}")
         if self.a == 0 and self.b == 0:
             raise InvalidInputError("record with a=0 and b=0 carries no information")
-        if not isinstance(self.meets_k, bool):
-            raise InvalidInputError("meets_k must be a boolean")
+        require_instance(self.meets_k, bool, "meets_k must be a boolean")
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,9 @@ class ResolutionData:
     divisors: tuple[DivisorRecord, ...]
 
     def __post_init__(self):
-        try:
-            divisors = tuple(self.divisors)
-        except TypeError:
-            raise InvalidInputError("divisors must be an iterable of DivisorRecords") from None
+        divisors = require_items(self.divisors, "divisors must be an iterable of DivisorRecords")
         for record in divisors:
-            if not isinstance(record, DivisorRecord):
-                raise InvalidInputError(f"expected a DivisorRecord, got {type(record).__name__}")
+            require_instance(record, DivisorRecord, "expected a DivisorRecord, got {kind}")
         object.__setattr__(self, "divisors", divisors)
 
     @classmethod
@@ -103,8 +98,7 @@ def lct_from_resolution(data: ResolutionData) -> ExtRational:
     Divisors with b = 0 never constrain the minimum.  Returns infinity
     when no qualifying divisor exists (nothing forces non-integrability).
     """
-    if not isinstance(data, ResolutionData):
-        raise InvalidInputError("expected ResolutionData")
+    require_instance(data, ResolutionData, "expected ResolutionData")
     if not data.divisors:
         raise InvalidInputError("resolution data has no divisor records")
     best = min(
@@ -125,7 +119,8 @@ class PrincipalMonomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
+        sequence = "exponents must be a sequence of integers, got {kind}"
+        object.__setattr__(self, "exponents", require_items(self.exponents, sequence))
         for e in self.exponents:
             require_int(e, 0, "exponents must be nonnegative integers, got {value!r}")
         if not any(e > 0 for e in self.exponents):
@@ -143,7 +138,8 @@ class Diagonal:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(self.orders))
+        sequence = "diagonal orders must be a sequence of integers, got {kind}"
+        object.__setattr__(self, "orders", require_items(self.orders, sequence))
         if not self.orders:
             raise InvalidInputError("diagonal ideal needs at least one order")
         for m in self.orders:
@@ -187,8 +183,7 @@ _SPEC_TYPES = (PrincipalMonomial, Diagonal, DirectSum, SeparatedSum)
 
 
 def _require_spec(obj) -> None:
-    if not isinstance(obj, _SPEC_TYPES):
-        raise InvalidInputError(f"expected a monomial ideal spec, got {type(obj).__name__}")
+    require_instance(obj, _SPEC_TYPES, "expected a monomial ideal spec, got {kind}")
 
 
 def lct_monomial(spec: MonomialIdealSpec) -> ExtRational:
@@ -340,9 +335,7 @@ class _SpecParser:
 
 def parse_spec(text: str) -> MonomialIdealSpec:
     """Parse the compact grammar, e.g. ``mono:3,2`` or ``dsum(diag:2;diag:3)``."""
-    if not isinstance(text, str):
-        raise InvalidInputError("spec must be a string")
-    return _SpecParser(text).parse()
+    return _SpecParser(require_instance(text, str, "spec must be a string")).parse()
 
 
 def spec_to_text(spec: MonomialIdealSpec) -> str:

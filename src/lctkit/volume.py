@@ -70,14 +70,15 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InsufficientDataError, InternalError, InvalidInputError
-from .errors import require_int, require_real
+from .errors import require_instance, require_int, require_items, require_real
 from .lct import (
     Diagonal,
     DirectSum,
@@ -194,12 +195,9 @@ class SampledPotential:
 
     def __post_init__(self):
         require_int(self.dimension, 1, "dimension must be a positive integer")
-        if not callable(self.phi):
-            raise InvalidInputError("phi must be callable")
-        if self.floor is not None and not callable(self.floor):
-            raise InvalidInputError("floor must be callable or None")
-        if not isinstance(self.angles, bool):
-            raise InvalidInputError("angles must be True or False")
+        require_instance(self.phi, Callable, "phi must be callable")
+        require_instance(self.floor, (Callable, type(None)), "floor must be callable or None")
+        require_instance(self.angles, bool, "angles must be True or False")
         r = self.radius if isinstance(self.radius, (tuple, list, np.ndarray)) else (self.radius,)
         positive = "polydisk radii must be numbers in (0, inf), got {value!r}"
         r = tuple(require_real(x, positive, 0.0) for x in r)
@@ -220,8 +218,7 @@ class SampledPotential:
         interleaved real coordinates to an (N,) array of phi values.  Its
         phi builds those coordinates, read-only, and evaluates them, so the
         evaluator sees the row blocks of a chunk and must be pointwise too."""
-        if not callable(evaluator):
-            raise InvalidInputError("evaluator must be callable")
+        require_instance(evaluator, Callable, "evaluator must be callable")
 
         def phi(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
             rad = np.sqrt(sq)
@@ -553,8 +550,7 @@ def _chunk_charge(p: SampledPotential, samples: int) -> int:
 def _require_chunk_budget(p: SampledPotential, grid_size: int, samples: int = _CHUNK) -> None:
     """Refuse, before any draw, a sample count, grid and dimension whose
     largest chunk and result rows would pass _CHUNK_BYTES."""
-    if not isinstance(p, SampledPotential):
-        raise InvalidInputError("expected a SampledPotential")
+    require_instance(p, SampledPotential, "expected a SampledPotential")
     if _chunk_charge(p, samples) + grid_size * _RADIUS_BYTES > _CHUNK_BYTES:
         raise InvalidInputError(
             f"{grid_size} radii in dimension {p.dimension} need over "
@@ -798,8 +794,8 @@ class FitConfig:
         if require_int(self.samples, 1000, "need at least 1000 samples") > _MAX_CHUNKS * _CHUNK:
             raise InvalidInputError(f"samples must be at most {_MAX_CHUNKS * _CHUNK}")
         require_int(self.seed, 0, "seed must be a nonnegative integer")
-        if not isinstance(self.with_log_correction, bool):
-            raise InvalidInputError("with_log_correction must be True or False")
+        bool_only = "with_log_correction must be True or False"
+        require_instance(self.with_log_correction, bool, bool_only)
         require_int(self.workers, 1, "workers must be an integer >= 1, got {value!r}")
 
 
@@ -909,8 +905,8 @@ def semicontinuity_experiment(
     equals ``fit_exponent(family(t), **vars(config))``: both run one fit
     path, which samples the members that share a polydisk together.
     """
-    if not callable(family):
-        raise InvalidInputError("family must map t to a SampledPotential")
+    require_instance(family, Callable, "family must map t to a SampledPotential")
+    t_values = require_items(t_values, "t_values must be a sequence of numbers, got {kind}")
     number = "family parameters t must be finite numbers, got {value!r}"
     t_values = [require_real(t, number) for t in t_values]
     if 0.0 not in t_values:
@@ -918,10 +914,8 @@ def semicontinuity_experiment(
     tolerance = require_real(tolerance, "tolerance must be a number, got {value!r}")
     if tolerance < 0.0:
         raise InvalidInputError("tolerance must be a finite nonnegative number")
-    if config is None:
-        config = FitConfig()
-    elif not isinstance(config, FitConfig):
-        raise InvalidInputError(f"config must be a FitConfig or None, got {type(config).__name__}")
+    config = FitConfig() if config is None else config
+    require_instance(config, FitConfig, "config must be a FitConfig or None, got {kind}")
     # _fit_all refuses a member that is not a SampledPotential before any draw
     fits = _fit_all([family(t) for t in t_values], config)
     baseline = fits[t_values.index(0.0)].fitted_c

@@ -26,6 +26,11 @@ def test_minimal_degree_golden():
     assert minimal_degree(RadialWeight(Fraction(3, 4)), 2) == 1
     assert minimal_degree(RadialWeight(Fraction(0)), 5) == 0
     assert minimal_degree(RadialWeight(Fraction(1)), 3) == 3
+    with pytest.raises(InvalidInputError, match="^expected a RadialWeight, got Fraction$"):
+        minimal_degree(Fraction(1, 2), 2)
+    for m in (None, 0, 1.5):
+        with pytest.raises(InvalidInputError, match="^m must be a positive integer$"):
+            minimal_degree(RadialWeight(Fraction(1, 2)), m)
 
 
 def test_minimal_degree_integer_borderline():

@@ -64,6 +64,9 @@ def test_weight_system_validation():
         WeightSystem((1, 2, 3, 4), True)
     with pytest.raises(InvalidInputError):
         WeightSystem((1, 2, 3, 4.0), 10)
+    for weights, kind in ((5, "int"), (None, "NoneType")):
+        with pytest.raises(InvalidInputError, match=f"sequence of integers, got {kind}"):
+            WeightSystem(weights, 3)
     # any sequence of ints is fine, and k is the weight sum
     w = WeightSystem([1, 2, 3, 4], 10)
     assert w.a == (1, 2, 3, 4)

@@ -65,6 +65,8 @@ def test_resolution_empty_is_an_error():
         lct_from_resolution(ResolutionData(()))
     with pytest.raises(InvalidInputError):
         lct_from_resolution("not resolution data")
+    with pytest.raises(InvalidInputError, match="^expected ResolutionData$"):
+        lct_from_resolution(None)
 
 
 def test_resolution_data_holds_divisor_records_only():
@@ -92,6 +94,8 @@ def test_divisor_record_validation():
         DivisorRecord(True, 2)
     with pytest.raises(InvalidInputError):
         DivisorRecord(1, 2, meets_k="yes")
+    with pytest.raises(InvalidInputError, match="^meets_k must be a boolean$"):
+        DivisorRecord(1, 2, meets_k=1)
 
 
 def test_resolution_from_json():
@@ -169,6 +173,11 @@ def test_spec_invariants():
         DirectSum(Diagonal((2,)), "diag:3")
     with pytest.raises(InvalidInputError):
         lct_monomial("mono:2")
+    for bad in (5, None):
+        with pytest.raises(InvalidInputError, match="exponents must be a sequence"):
+            PrincipalMonomial(bad)
+    with pytest.raises(InvalidInputError, match="orders must be a sequence of integers, got int"):
+        Diagonal(5)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +286,8 @@ def test_parse_errors():
             parse_spec(bad)
     with pytest.raises(InvalidInputError):
         parse_spec(42)
+    with pytest.raises(InvalidInputError, match="^spec must be a string$"):
+        parse_spec(b"mono:2")
 
 
 def test_parse_accepts_unicode_decimal_digits():

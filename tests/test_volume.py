@@ -236,6 +236,8 @@ def test_estimate_argument_errors():
         estimate_sublevel_volume(p, 0.5, samples=1000, workers=0)
     with pytest.raises(InvalidInputError):
         estimate_sublevel_volume("not a potential", 0.5, samples=1000)
+    with pytest.raises(InvalidInputError, match="^expected a SampledPotential$"):
+        estimate_sublevel_volume("x", 0.5)
 
 
 def test_chunk_budget_is_checked_before_any_draw():
@@ -1311,6 +1313,8 @@ def test_fit_argument_errors():
         fit_exponent(p, samples=10)
     with pytest.raises(InvalidInputError):
         fit_exponent("nope")
+    with pytest.raises(InvalidInputError, match="^with_log_correction must be True or False$"):
+        fit_exponent(p, with_log_correction=1)
 
 
 BAD_FIT_FIELDS = [
@@ -1658,3 +1662,8 @@ def test_semicontinuity_argument_errors():
         semicontinuity_experiment("not callable", [0.0])
     with pytest.raises(InvalidInputError):
         semicontinuity_experiment(lambda t: "junk", [0.0], config=SMALL_FIT)
+    with pytest.raises(InvalidInputError, match="^family must map t to a SampledPotential$"):
+        semicontinuity_experiment(None, [0.0])
+    for t_values, kind in ((5, "int"), (None, "NoneType")):
+        with pytest.raises(InvalidInputError, match=f"sequence of numbers, got {kind}"):
+            semicontinuity_experiment(fam, t_values)
