@@ -20,8 +20,10 @@ systems whose curve verification is recorded in
 
 Everything is exact integer/rational arithmetic; floats appear only in
 display renderings.  A box scan builds only the systems that satisfy
-cond (i) for x3 (solving it for a3) and prefilters them in two stages:
-cond (i) for x0, x1, x2 vectorized over all of them, then triple
+cond (i) for x3: for each pair a0 <= a1, every x3 monomial that can have
+degree d allows one run of a2, and fixes a3 (or its range) from it.  The
+scan prefilters them in two stages: cond (i) for x2, x1, then x0,
+vectorized, each on the rows the one before kept, then triple
 coprimality and cond (ii)/(iv) by closed-form pair tests on each system
 left.  Survivors are re-checked exactly, so no stage changes the result.
 """
@@ -46,13 +48,18 @@ NOT_ORBIFOLD = "NOT_ORBIFOLD"
 NOT_FANO = "NOT_FANO"
 
 # Largest box a scan accepts, counted as C(max_a3 - min_a0 + 4, 4): just
-# above the a3 <= 256 box.  The scan never allocates the box: it builds
-# (a0, a1, a2) triples in blocks of a fixed number of a0 values and solves
-# cond (i) for a3, with no sort, so a fano-scan process peaks at about
-# 48 MiB at a3 <= 128, a0 >= 3 and 62 MiB at a3 <= 256 (index 1; 2-core
-# x86-64, numpy 2.4).  The limit bounds the scan's time, which still grows
-# like the number of triples.
+# above the a3 <= 256 box.  The scan never allocates the box, nor its
+# (a0, a1, a2) triples: it builds the (a0, a1) pairs in blocks of a fixed
+# number of a0 values and, for each, the runs of a2 that cond (i) for x3
+# allows, so a fano-scan process peaks at about 42 MiB at a3 <= 128,
+# a0 >= 3 and 46 MiB at a3 <= 256 (index 1; 2-core x86-64, numpy 2.4).
+# The limit bounds the scan's time, which grows like the number of
+# candidates.
 MAX_BOX_SYSTEMS = 2 * 10**8
+
+# Largest max_a3 a scan accepts: its candidates are int32 columns, and a
+# degree is at most the weight sum, 4*max_a3 <= 2**31 - 1.
+MAX_SCAN_WEIGHT = (2**31 - 1) // 4
 
 # Most (e0, e1, e2) steps weighted_monomials may take, by its closed-form
 # bound: just above the 3.14e6 of (1,1,1,261) at d = 263, the costliest
@@ -497,6 +504,11 @@ class ScanConfig:
                 f"holds {exact_text(size)} weight systems; "
                 f"a scan takes at most {MAX_BOX_SYSTEMS}"
             )
+        if self.max_a3 > MAX_SCAN_WEIGHT:
+            raise InvalidInputError(
+                f"max_a3={exact_text(self.max_a3)} is above {MAX_SCAN_WEIGHT}: "
+                "a scan keeps weights and degrees (up to 4*max_a3) in int32"
+            )
 
     @property
     def box_systems(self) -> int:
@@ -544,20 +556,28 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _extend(cols: list[np.ndarray], hi: int) -> list[np.ndarray]:
-    """Repeat each row once per value v in [last column, hi] and append v
-    as a new nondecreasing column (the repeat/arange trick)."""
-    last = cols[-1]
-    counts = (hi - last + 1).astype(np.int64)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    new = (np.arange(int(counts.sum()), dtype=np.int64) - offsets).astype(np.int32)
-    new += np.repeat(last, counts)
+def _extend(
+    cols: list[np.ndarray], hi, lo: Optional[np.ndarray] = None, step: int = 1
+) -> list[np.ndarray]:
+    """Repeat each row once per value v = lo, lo + step, ... <= hi and
+    append v as a new int32 column (the repeat/arange trick).  lo defaults
+    to the last column, so the new column is nondecreasing; lo and hi may
+    be per-row arrays, and every row must have lo <= hi."""
+    start = cols[-1] if lo is None else lo
+    counts = (hi - start) // step + 1
+    first = np.cumsum(counts) - counts  # where each row's run begins
+    # v = start + step * (i - first) at output position i; int32 holds both
+    # terms below 2**30 rows, and a scan makes at most one row per x3
+    # monomial (4) per system of a box of at most MAX_BOX_SYSTEMS
+    new = np.arange(0, step * int(counts.sum()), step, dtype=np.int32)
+    new += np.repeat((start - step * first).astype(np.int32), counts)
     return [np.repeat(c, counts) for c in cols] + [new]
 
 
-# Most (a0, a1, a2) triples a scan builds at once.  The prefilter walks
-# the box in runs of a0 holding at most this many triples, so its
-# temporaries stay a few tens of MiB whatever the box size.
+# Most (a0, a1, a2) triples of the box one block of a scan covers.  The
+# prefilter walks the box in runs of a0 over at most this many triples;
+# a block's candidates are a small share of them, so its temporaries stay
+# a few MiB whatever the box size.
 _BLOCK_TRIPLES = 1 << 18
 
 
@@ -578,36 +598,65 @@ def _box_arrays(
     system that meets it in several ways appears once per way.
 
     Cond (i) for x3 asks for x3^m or x3^m x_k (m >= 1) of degree
-    d = k - index.  Writing s = a0 + a1 + a2 and r = s - index or
-    r = s - a_k - index, that is r = (m - 1) a3, and d < 4 a3 leaves
-    m - 1 in {0, 1, 2}.  So only the triples a0 <= a1 <= a2 are built:
-    each gives a3 = r / (m - 1) for m - 1 in {1, 2}, and a triple with
-    some r == 0 (m = 1) leaves a3 free over [a2, max_a3].  Every other
-    system of the box fails cond (i) for x3, so the prefilter loses
-    nothing; the box itself is never allocated.
+    d = k - index.  For each pair a0 <= a1, write e = a0 + a1 - index,
+    so that s = a0 + a1 + a2 - index = a2 + e and d = s + a3, and
+    hi = max_a3.  Each monomial that can have degree d fixes a run of a2,
+    an interval, and its a3:
+
+        x3^2      a3 = a2 + e           a2 in [a1, hi - e], if e >= 0
+        x3^3      2 a3 = a2 + e         a2 in [a1, min(e, 2 hi - e, hi)],
+                                        a2 = e mod 2
+        x3^2 x0   a3 = a2 + a1 - index  a2 in [a1, hi - a1 + index], if a1 >= index
+        x3^2 x1   a3 = a2 + a0 - index  a2 in [a1, hi - a0 + index], if a0 >= index
+        x3^2 x2   a3 = e                a2 in [a1, e], if e <= hi
+        x3, x3 x_k  s = a_k or 0        a2 in {-e, index - a1, index - a0},
+                                        or any a2 when e = 0; a3 in [a2, hi]
+
+    (the bounds keep a2 <= a3 <= hi).  No other monomial can have degree
+    d.  x3^m needs s = (m - 1) a3, and s <= 3 a3 - index < 3 a3 leaves
+    m <= 3.  x3^m x_k (k < 3) needs s - a_k = (m - 1) a3, where s - a_k
+    is the sum of the other two of a0, a1, a2 less the index, below 2 a3;
+    so m <= 2, and x3^3 x_k never has degree d.  Every other system of
+    the box fails cond (i) for x3, so the prefilter loses nothing; neither
+    the box nor its triples are allocated, only the (a0, a1) pairs and
+    the runs.
     """
     hi = config.max_a3
     lo, top = a0_range or (config.min_a0, hi)
-    a0, a1, a2 = _extend(_extend([np.arange(lo, top + 1, dtype=np.int32)], hi), hi)
-    s = a0 + a1 + a2 - np.int32(config.fano_index)
+    a0, a1 = _extend([np.arange(lo, top + 1, dtype=np.int32)], hi)
+    # pair-level bounds in int64: e ranges down to 2 - index
+    b0, b1 = a0.astype(np.int64), a1.astype(np.int64)
+    e = b0 + b1 - config.fano_index
 
-    # each hit is a (triple row, a3) pair
-    hits, a3s = [], []
-    free = np.zeros(a0.size, dtype=bool)
-    for r in (s, s - a0, s - a1, s - a2):
-        free |= r == 0
-        # m - 1 = 1, then m - 1 = 2; a3 >= a2 >= 1 also rules out r <= 0
-        for a3, exact in ((r, True), (r >> 1, (r & 1) == 0)):
-            hit = np.flatnonzero(exact & (a3 >= a2) & (a3 <= hi))
-            hits.append(hit)
-            a3s.append(a3[hit])
-    # m = 1 with r == 0: a3 runs over [a2, hi]
-    hit, _, f3 = _extend([np.flatnonzero(free), a2[free]], hi)
-    hits.append(hit)
-    a3s.append(f3)
+    def run(end, c, start=b1, step=1):
+        """Rows (a0, a1, a2, c) for every a2 in [start, end] of each pair, by step;
+        c is a per-pair value, in [0, 2 hi] wherever the run is not empty."""
+        ok = np.flatnonzero(end >= start)
+        cols = [a0[ok], a1[ok], c[ok].astype(np.int32)]
+        a0_, a1_, c_, a2 = _extend(cols, end[ok], start[ok], step)
+        return [a0_, a1_, a2, c_]
 
-    rows = np.concatenate(hits)
-    return a0[rows], a1[rows], a2[rows], np.concatenate(a3s)
+    # each run's last column becomes a3, in place.  x3^2, x3^2 x0 and
+    # x3^2 x1 have a3 = a2 + c for c = e, a1 - index and a0 - index
+    runs = []
+    for c in (e, b1 - config.fano_index, b0 - config.fano_index):
+        rows = run(np.where(c >= 0, hi - c, 0), c)
+        rows[3] += rows[2]
+        runs.append(rows)
+    x3_3 = run(np.minimum(np.minimum(e, 2 * hi - e), hi), e, b1 + ((e - b1) & 1), 2)
+    x3_3[3] += x3_3[2]
+    x3_3[3] >>= 1  # a3 = (a2 + e) / 2
+    runs.append(x3_3)
+    runs.append(run(np.where(e <= hi, e, 0), e))  # x3^2 x2: a3 = e
+
+    # x3 and x3 x_k: a3 runs over [a2, hi]
+    free = [run(np.where(e == 0, hi, 0), e)[:3]]
+    for v in (-e, config.fano_index - b1, config.fano_index - b0):
+        ok = np.flatnonzero((v >= b1) & (v <= hi))
+        free.append((a0[ok], a1[ok], v[ok].astype(np.int32)))
+    runs.append(_extend([np.concatenate(col) for col in zip(*free)], hi))
+
+    return tuple(np.concatenate(col) for col in zip(*runs))
 
 
 def _representable(t: int, a: int, b: int) -> bool:
@@ -636,32 +685,38 @@ def _pairs_ok(a: Sequence[int], d: int) -> bool:
 
 def _prefilter(config: ScanConfig) -> list[tuple[tuple[int, int, int, int], int]]:
     """Necessary conditions on the candidates of :func:`_box_arrays`, one
-    block of a0 values at a time: cond (i) for x0, x1, x2, vectorized over
-    the many candidates, then :func:`_pairs_ok` on each of the few left.
-    Sound pruning only; survivors still get the exact check.  Returns
-    the distinct (weights, d) rows in lexicographic order: the set drops
-    the systems :func:`_box_arrays` yields more than once."""
+    block of a0 values at a time: cond (i) for x2, x1, then x0, vectorized,
+    each on the rows the one before left, then :func:`_pairs_ok` on each of
+    the few left.  Sound pruning only; survivors still get the exact check.
+    Returns the distinct (weights, d) rows in lexicographic order: the set
+    drops the systems :func:`_box_arrays` yields more than once."""
     rows = set()
     for block in _a0_blocks(config):
-        cols = _box_arrays(config, block)
-        # int32 is safe throughout: weights <= max_a3 and degrees <= 4*max_a3
-        d = cols[0] + cols[1] + cols[2] + cols[3] - np.int32(config.fano_index)
+        cols = list(_box_arrays(config, block))
+        # int32 is safe throughout: ScanConfig keeps 4*max_a3, the largest
+        # weight sum, within int32 (MAX_SCAN_WEIGHT), and d < 4*max_a3
+        cols.append(cols[0] + cols[1] + cols[2] + cols[3] - np.int32(config.fano_index))
 
         # cond (i): some x_j^m (m>=1) or x_j^m x_k (m>=1) reaches degree d.
         # Every row of _box_arrays meets it for x3 and has d = s + a3 >= 1
-        # (s = a0 + a1 + a2 - index): an exact row has s >= r >= a2 >= 1, a
-        # free row s >= 0 and a3 >= 1.  So neither d > 0 nor j = 3 is checked.
-        keep = np.ones(d.size, dtype=bool)
-        for j in range(3):
-            ok = (d % cols[j] == 0) & (d >= cols[j])
+        # (s = a0 + a1 + a2 - index): its monomial x3^m x_k makes s - a_k =
+        # (m - 1) a3 >= 0, and a3 >= 1.  So neither d > 0 nor j = 3 is checked.
+        # x_j^m x_k has degree d when d % a_j is a_k % a_j and d - a_k >= a_j;
+        # for k < j that residue is a_k, or 0 when a_k = a_j, which x_j^m
+        # (d % a_j == 0 and d >= a_j) covers.  x2 keeps the fewest rows, so
+        # it goes first, and each variable tests only the rows left.
+        for j in (2, 1, 0):
+            aj, d = cols[j], cols[4]
+            rem = d % aj
+            ok = (rem == 0) & (d >= aj)
             for k in range(4):
-                if k == j:
-                    continue
-                t = d - cols[k]
-                ok |= (t >= cols[j]) & (t % cols[j] == 0)
-            keep &= ok
+                if k != j:
+                    ak = cols[k]
+                    ok |= (rem == (ak if k < j else ak % aj)) & (d - ak >= aj)
+            keep = np.flatnonzero(ok)
+            cols = [c[keep] for c in cols]
 
-        for *a, dd in zip(*(c[keep].tolist() for c in (*cols, d))):
+        for *a, dd in zip(*(c.tolist() for c in cols)):
             if _pairs_ok(a, dd):
                 rows.add((tuple(a), dd))
     return sorted(rows)

@@ -733,6 +733,9 @@ class ExponentFit:
     r_squared: float
 
     def __post_init__(self):
+        for name in ("radii", "volumes", "std_errors", "used_in_fit"):
+            items = require_items(getattr(self, name), name + " must be a sequence, got {kind}")
+            object.__setattr__(self, name, items)
         rs = self.radii
         if not all(0.0 < r < 1.0 for r in rs):
             raise InternalError("radii must lie in (0,1)")

@@ -597,6 +597,15 @@ def test_fano_scan_box_over_budget_exits_1(capsys):
     assert "at most" in err
 
 
+def test_fano_scan_past_the_int32_range_exits_1(capsys):
+    # a one-system box, so only the weight bound refuses it
+    rc, out, err = run(capsys, "fano-scan", "--max-weight", "3000000000", "--min-a0", "3000000000")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: max_a3=3000000000 is above 536870911")
+    assert "Traceback" not in err
+
+
 def test_fano_scan_huge_index_is_an_empty_scan(capsys):
     # index >= 4 * max_a3 leaves every d <= 0; no int32 column is built
     rc, out, err = run(capsys, "fano-scan", "--max-weight", "8", "--index", "3000000000")

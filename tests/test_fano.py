@@ -1,6 +1,7 @@
 """Weighted hypersurface certifier: monomial enumeration, orbifold
 conditions, the rho inequalities, verdicts, and the box scan."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -543,16 +544,41 @@ def _x3_cond_i(a, index):
     return any(t >= a[3] and t % a[3] == 0 for t in (d, d - a[0], d - a[1], d - a[2]))
 
 
+def _x3_monomials(a, index):
+    """The cond (i) monomials for x3 of degree d, as text: x3^m or x3^m x_k."""
+    d = sum(a) - index
+    found = []
+    for k, t in ((None, d), (0, d - a[0]), (1, d - a[1]), (2, d - a[2])):
+        if t >= a[3] and t % a[3] == 0:
+            m = t // a[3]
+            found.append(("x3" if m == 1 else f"x3^{m}") + ("" if k is None else f" x{k}"))
+    return found
+
+
 def test_box_arrays_is_the_x3_cond_i_slice_of_the_box():
-    for max_a3, min_a0, index in itertools.product((12, 24), (1, 2, 3), range(1, 6)):
+    seen = collections.Counter()
+    for max_a3, min_a0, index in itertools.product(
+        (12, 24), (1, 2, 3, 5), (*range(1, 8), 12, 40)
+    ):
         config = ScanConfig(max_a3=max_a3, fano_index=index, min_a0=min_a0)
-        rows = set(zip(*(col.tolist() for col in fano._box_arrays(config))))
+        counts = collections.Counter(zip(*(col.tolist() for col in fano._box_arrays(config))))
+        rows = set(counts)
         expected = {
             a
             for a in itertools.combinations_with_replacement(range(min_a0, max_a3 + 1), 4)
             if _x3_cond_i(a, index)
         }
         assert rows == expected, (max_a3, min_a0, index)
+        # one row per monomial, so every run gives the rows of its monomial
+        for a in expected:
+            monomials = _x3_monomials(a, index)
+            assert counts[a] == len(monomials), (a, index, monomials)
+            seen.update(monomials)
+    # the six runs: x3^2, x3^3, x3^2 x_k for each k, and m = 1 from all four
+    # of its sources (a2 = -e, index - a1, index - a0, and e = 0)
+    assert set(seen) == {
+        "x3^2", "x3^3", "x3^2 x0", "x3^2 x1", "x3^2 x2", "x3", "x3 x0", "x3 x1", "x3 x2"
+    }, seen
     # index 2 with a0 = a1 = 1: x3^1 has degree d = a3 for every a2 <= a3
     rows = set(zip(*(col.tolist() for col in fano._box_arrays(ScanConfig(max_a3=24, fano_index=2)))))
     free = {(1, 1, a2, a3) for a2 in range(1, 25) for a3 in range(a2, 25)}
@@ -670,6 +696,7 @@ def test_scan_prefilter_survivor_goldens():
         (40, 1, 1, 25),
         (64, 1, 3, 613),
         (128, 3, 1, 15),
+        (256, 1, 1, 85),
     ):
         config = ScanConfig(max_a3=max_a3, fano_index=index, min_a0=min_a0)
         report = scan(config)
@@ -796,6 +823,18 @@ def test_scan_config_rejects_boxes_over_the_budget():
         ScanConfig(max_a3=512)
     # the budget counts the box, so raising a0 brings a large a3 back in
     ScanConfig(max_a3=512, min_a0=300)
+
+
+def test_scan_config_keeps_degrees_within_int32():
+    top = fano.MAX_SCAN_WEIGHT
+    assert top == 536870911 and 4 * top <= 2**31 - 1 < 4 * (top + 1)
+    ScanConfig(max_a3=top, min_a0=top)
+    for max_a3 in (top + 1, 3 * 10**9):
+        with pytest.raises(InvalidInputError, match=f"^max_a3={max_a3} is above {top}"):
+            ScanConfig(max_a3=max_a3, min_a0=max_a3)
+    # the box size is checked first, so a box too large to print says so
+    with pytest.raises(InvalidInputError, match="too long to print"):
+        ScanConfig(max_a3=10**1200)
 
 
 def test_scan_csv():

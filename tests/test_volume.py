@@ -1458,6 +1458,28 @@ def test_exponent_fit_invariants_enforced():
         )
 
 
+def test_exponent_fit_refuses_fields_that_are_not_sequences():
+    for value, kind in ((2, "int"), (None, "NoneType")):
+        with pytest.raises(InvalidInputError, match=f"^radii must be a sequence, got {kind}$"):
+            ExponentFit(*(value,) * 8)
+    good = dict(
+        radii=(0.1, 0.01),
+        volumes=(1.0, 0.5),
+        std_errors=(0.0, 0.0),
+        used_in_fit=(True, True),
+        fitted_c=1.0,
+        fitted_log_power=None,
+        intercept=0.0,
+        r_squared=1.0,
+    )
+    for name in ("radii", "volumes", "std_errors", "used_in_fit"):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be a sequence, got int$"):
+            ExponentFit(**{**good, name: 2})
+    # any iterable is taken, as a tuple
+    fit = ExponentFit(**{**good, "radii": [0.1, 0.01], "used_in_fit": iter((True, False))})
+    assert fit.radii == (0.1, 0.01) and fit.used_in_fit == (True, False)
+
+
 def test_exponent_fit_invariants_survive_optimized_mode():
     # python -O strips assert statements; the invariants must not vanish
     script = """
